@@ -7,9 +7,10 @@
 // can produce, so a trial is mostly round execution plus fixed costs.
 // The two schedulers split exactly on those fixed costs:
 //
-//   * fork-join pool (run_scenario_trials) — per batch: spawn workers,
-//     build a fresh InternDomain (all analytics recompute), and per
-//     trial construct a RoundEngine plus n process objects.
+//   * fork-join pool (run_scenario_trials) — per batch: build a fresh
+//     InternDomain (all analytics recompute), and per trial construct
+//     a RoundEngine plus n process objects. A one-trial batch runs
+//     inline on the calling thread; no worker is spawned.
 //   * tile-plane service (McTilePlane) — persistent tiles, a domain
 //     that survives from batch to batch (analytics converge once,
 //     globally), and per-tile trial scratch that resets engine and

@@ -181,18 +181,4 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
   return summary;
 }
 
-McSummary run_scenario_trials_on(McScheduler scheduler,
-                                 const ScenarioFactory& scenario,
-                                 std::uint64_t master_seed, int trials,
-                                 const KSetRunConfig& config,
-                                 const McPlaneOptions& options,
-                                 const TrialCallback& per_trial) {
-  if (scheduler == McScheduler::kPool) {
-    return run_scenario_trials(scenario, master_seed, trials, config,
-                               options.tiles, per_trial);
-  }
-  McTilePlane plane(scenario, options);
-  return plane.run(master_seed, trials, config, per_trial);
-}
-
 }  // namespace sskel

@@ -1,12 +1,12 @@
 // Monte-Carlo trial scheduling on the tile plane (DESIGN.md §13).
 //
-// run_scenario_trials (the "pool" scheduler) fans trials over the
-// fork-join WorkerPool: correct and bit-deterministic, but every call
-// pays batch-scoped fixed costs — a fresh InternDomain whose shards
-// re-analyze every structure the previous batch already knew, and a
-// fresh engine + n process constructions per trial. Campaign-scale
-// runs are many small batches, so those fixed costs dominate at small
-// n.
+// run_scenario_trials (the "pool" scheduler) fans trials over
+// parallel_for's per-call threads: correct and bit-deterministic, but
+// every call pays batch-scoped fixed costs — a fresh InternDomain
+// whose shards re-analyze every structure the previous batch already
+// knew, and a fresh engine + n process constructions per trial.
+// Campaign-scale runs are many small batches, so those fixed costs
+// dominate at small n.
 //
 // McTilePlane is the same trial loop rebuilt as a persistent
 // *service* over the PR 7 tile/ring transport:
@@ -28,9 +28,8 @@
 // tokens, not payloads — the ring's release/acquire ordering makes
 // the buffer write visible to the dispatcher), and the fold is the
 // shared fold_scenario_trials — so McSummary's trial-derived fields
-// are bit-identical across tile counts and vs the pool scheduler.
-// The pool path stays selectable as the reference scheduler,
-// mirroring the NetPlane::kRing/kEventQueue pattern.
+// are bit-identical across tile counts and vs the pool scheduler,
+// which stays callable as the reference.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +43,6 @@
 #include "skeleton/intern.hpp"
 
 namespace sskel {
-
-/// Which trial scheduler runs a Monte-Carlo batch (the NetPlane
-/// pattern: new fast path + selectable reference path).
-enum class McScheduler {
-  kPool,       // fork-join WorkerPool (reference)
-  kTilePlane,  // persistent tile-plane service
-};
 
 struct McPlaneOptions {
   /// Worker tiles. 0 = resolve from SSKEL_THREADS / hardware
@@ -205,14 +197,5 @@ class McTilePlane {
   bool streaming_ = false;
   TilePlane plane_;  // last: joins tiles before the rest dies
 };
-
-/// Scheduler-dispatching convenience: kPool calls run_scenario_trials
-/// (threads = options.tiles), kTilePlane builds a one-batch
-/// McTilePlane. Campaign code holds a McTilePlane directly to reuse
-/// it across batches.
-[[nodiscard]] McSummary run_scenario_trials_on(
-    McScheduler scheduler, const ScenarioFactory& scenario,
-    std::uint64_t master_seed, int trials, const KSetRunConfig& config,
-    const McPlaneOptions& options = {}, const TrialCallback& per_trial = {});
 
 }  // namespace sskel

@@ -88,7 +88,7 @@ McSummary run_scenario_trials(const ScenarioFactory& scenario,
   summary.arena_reuses = ProcSet::arena_reuses();
   summary.bytes_measured = config.measure_bytes;
   summary.scheduler = "pool";
-  summary.tiles = static_cast<std::int64_t>(resolve_thread_count(threads));
+  summary.tiles = static_cast<std::int64_t>(resolve_tile_count(threads));
   fold_scenario_trials(summary, results, config, per_trial);
   return summary;
 }

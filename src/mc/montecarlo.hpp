@@ -119,8 +119,9 @@ void fold_scenario_trial(McSummary& summary, const ScenarioTrial& trial,
                          const KSetRunConfig& config);
 
 /// Runs `trials` independent trials of `scenario`. Trial t uses the
-/// seed mix_seed(master_seed, t). Thread count 0 = hardware
-/// concurrency.
+/// seed mix_seed(master_seed, t). `threads` resolves through
+/// resolve_tile_count: 0 = SSKEL_THREADS or hardware concurrency, and
+/// SSKEL_THREADS caps an explicit count.
 [[nodiscard]] McSummary run_scenario_trials(
     const ScenarioFactory& scenario, std::uint64_t master_seed, int trials,
     const KSetRunConfig& config, unsigned threads = 0,

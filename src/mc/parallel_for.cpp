@@ -1,281 +1,27 @@
 #include "mc/parallel_for.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
-#include <thread>
-
-#include "mc/steal_deque.hpp"
 
 namespace sskel {
 
-unsigned threads_from_env_value(const char* value, unsigned hardware) {
-  const unsigned hw = std::max(1u, hardware);
-  if (value == nullptr || *value == '\0') return hw;
+unsigned tiles_from_env_value(unsigned requested, const char* value,
+                              unsigned hardware) {
+  const unsigned base = requested != 0 ? requested : std::max(1u, hardware);
+  if (value == nullptr || *value == '\0') return base;
   char* end = nullptr;
   const long parsed = std::strtol(value, &end, 10);
   // Reject trailing garbage (allow trailing whitespace only).
-  for (const char* c = end; c != nullptr && *c != '\0'; ++c) {
-    if (std::isspace(static_cast<unsigned char>(*c)) == 0) return hw;
+  for (const char* c = end; *c != '\0'; ++c) {
+    if (std::isspace(static_cast<unsigned char>(*c)) == 0) return base;
   }
-  if (end == value || parsed <= 0) return hw;
-  return static_cast<unsigned>(
-      std::min<unsigned long>(static_cast<unsigned long>(parsed), hw));
-}
-
-unsigned resolve_thread_count(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return threads_from_env_value(std::getenv("SSKEL_THREADS"), hw);
-}
-
-unsigned tiles_from_env_value(unsigned requested, const char* value,
-                              unsigned hardware) {
-  if (requested == 0) return threads_from_env_value(value, hardware);
-  if (value == nullptr || *value == '\0') return requested;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  for (const char* c = end; c != nullptr && *c != '\0'; ++c) {
-    if (std::isspace(static_cast<unsigned char>(*c)) == 0) return requested;
-  }
-  if (end == value || parsed <= 0) return requested;
-  if (parsed >= static_cast<long>(requested)) return requested;
-  return static_cast<unsigned>(parsed);
+  if (end == value || parsed <= 0) return base;
+  return static_cast<unsigned>(std::min<long>(parsed, base));
 }
 
 unsigned resolve_tile_count(unsigned requested) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return tiles_from_env_value(requested, std::getenv("SSKEL_THREADS"), hw);
-}
-
-namespace detail {
-
-namespace {
-/// Set while the thread executes pool work (helpers always; the
-/// submitting thread for the duration of its job), so nested
-/// parallel_for calls run inline instead of deadlocking on the pool.
-thread_local bool t_on_worker = false;
-}  // namespace
-
-struct WorkerPool::Impl {
-  /// One in-flight job. Lives on the submitting thread's stack; the
-  /// pool guarantees no helper touches it after run() returns.
-  /// Chunks are dealt round-robin into one deque per participant
-  /// before the job is published (the pool mutex orders the fills
-  /// before any helper's first pop/steal).
-  struct Job {
-    void (*invoke)(void*, std::size_t) = nullptr;
-    void* ctx = nullptr;
-    std::size_t count = 0;
-    std::size_t chunk = 1;
-    unsigned participants = 1;
-    std::vector<std::unique_ptr<StealDeque>> deques;
-    std::atomic<unsigned> next_slot{1};  // slot 0 is the submitter
-    std::atomic<std::int64_t> steals{0};
-  };
-
-  /// Serializes submitters: the pool runs one job at a time.
-  std::mutex submit_mutex;
-
-  /// Guards everything below.
-  std::mutex mutex;
-  std::condition_variable_any wake_cv;  // helpers park here between jobs
-  std::condition_variable done_cv;      // submitter waits for helpers here
-  Job* job = nullptr;
-  std::uint64_t generation = 0;  // bumps per job; helpers watch it
-  unsigned tickets = 0;          // helpers still allowed to join the job
-  int in_flight = 0;             // helpers currently inside the job
-  std::int64_t jobs = 0;
-  std::int64_t steals_total = 0;
-
-  std::vector<std::jthread> helpers;  // last member: joins before the rest dies
-
-  static void run_chunk(Job& job, std::size_t chunk_idx) {
-    const std::size_t begin = chunk_idx * job.chunk;
-    const std::size_t end = std::min(job.count, begin + job.chunk);
-    for (std::size_t i = begin; i < end; ++i) job.invoke(job.ctx, i);
-  }
-
-  /// Work loop for participant `slot`: drain the own deque, then
-  /// steal. Exits only after one full sweep in which every deque
-  /// reported *empty* — a lost steal CAS (kContended) means items may
-  /// remain somewhere, so the sweep restarts. Items never reappear
-  /// (all pushes precede the job's publication), so the sweep
-  /// terminates.
-  static void work(Job& job, unsigned slot) {
-    StealDeque& own = *job.deques[slot];
-    std::size_t chunk_idx = 0;
-    while (true) {
-      if (own.pop(chunk_idx)) {
-        run_chunk(job, chunk_idx);
-        continue;
-      }
-      bool contended = false;
-      bool stole = false;
-      for (unsigned step = 1; step < job.participants; ++step) {
-        StealDeque& victim =
-            *job.deques[(slot + step) % job.participants];
-        const StealResult result = victim.steal(chunk_idx);
-        if (result == StealResult::kStole) {
-          job.steals.fetch_add(1, std::memory_order_relaxed);
-          run_chunk(job, chunk_idx);
-          stole = true;
-          break;
-        }
-        if (result == StealResult::kContended) contended = true;
-      }
-      if (!stole && !contended) return;
-    }
-  }
-
-  void helper_main(std::stop_token stop) {
-    t_on_worker = true;
-    std::unique_lock<std::mutex> lock(mutex);
-    std::uint64_t seen = 0;
-    while (true) {
-      wake_cv.wait(lock, stop, [&] { return generation != seen; });
-      if (stop.stop_requested()) return;
-      seen = generation;
-      if (job == nullptr || tickets == 0) continue;
-      --tickets;
-      ++in_flight;
-      Job* current = job;
-      lock.unlock();
-      const unsigned slot =
-          current->next_slot.fetch_add(1, std::memory_order_relaxed);
-      // More tickets than deques can exist when the pool has more
-      // helpers than the job has participants; surplus joiners leave.
-      if (slot < current->participants) work(*current, slot);
-      lock.lock();
-      if (--in_flight == 0) done_cv.notify_one();
-    }
-  }
-
-  void ensure_helpers() {
-    if (!helpers.empty()) return;
-    const unsigned target = resolve_thread_count(0);
-    const unsigned helper_target = target > 1 ? target - 1 : 0;
-    helpers.reserve(helper_target);
-    for (unsigned h = 0; h < helper_target; ++h) {
-      helpers.emplace_back(
-          [this](std::stop_token stop) { helper_main(stop); });
-    }
-  }
-};
-
-WorkerPool::WorkerPool() = default;
-
-/// jthread members request stop and join: helpers wake from their
-/// stop-token-aware wait and return, so process exit is clean (no
-/// leaked threads for the sanitizers to flag).
-WorkerPool::~WorkerPool() = default;
-
-WorkerPool& WorkerPool::instance() {
-  static WorkerPool pool;
-  return pool;
-}
-
-WorkerPool::Impl* WorkerPool::impl() {
-  std::call_once(once_, [this] { impl_ = std::make_unique<Impl>(); });
-  return impl_.get();
-}
-
-bool WorkerPool::on_worker_thread() { return t_on_worker; }
-
-unsigned WorkerPool::helper_count() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mutex);
-  return static_cast<unsigned>(i->helpers.size());
-}
-
-unsigned WorkerPool::size() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mutex);
-  if (!i->helpers.empty()) {
-    return static_cast<unsigned>(i->helpers.size()) + 1;
-  }
-  return resolve_thread_count(0);
-}
-
-std::int64_t WorkerPool::jobs_dispatched() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mutex);
-  return i->jobs;
-}
-
-std::int64_t WorkerPool::chunks_stolen() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mutex);
-  return i->steals_total;
-}
-
-void WorkerPool::run(std::size_t count, unsigned participants,
-                     void (*invoke)(void*, std::size_t), void* ctx) {
-  Impl& pool = *impl();
-  // One job at a time: concurrent submitters queue here.
-  std::lock_guard<std::mutex> submit(pool.submit_mutex);
-
-  Impl::Job job;
-  job.invoke = invoke;
-  job.ctx = ctx;
-  job.count = count;
-  job.participants = participants;
-  // Chunk granularity: small enough that uneven trial costs still
-  // balance through stealing (~8 chunks/worker), big enough that a
-  // steal is rare relative to local pops.
-  job.chunk = std::max<std::size_t>(
-      1, count / (static_cast<std::size_t>(participants) * 8));
-  const std::size_t chunks = (count + job.chunk - 1) / job.chunk;
-  const std::size_t per_deque =
-      (chunks + participants - 1) / static_cast<std::size_t>(participants);
-  job.deques.reserve(participants);
-  for (unsigned w = 0; w < participants; ++w) {
-    job.deques.push_back(std::make_unique<StealDeque>(per_deque));
-  }
-  // Deal chunks round-robin so every participant starts with a spread
-  // of the index space (costs often correlate with index locality).
-  // Fills happen before publication: the pool mutex below orders them
-  // before any helper's first pop or steal.
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const bool pushed = job.deques[c % participants]->push(c);
-    SSKEL_ASSERT(pushed);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    pool.ensure_helpers();
-    pool.job = &job;
-    pool.tickets = participants - 1;  // the caller is a participant too
-    ++pool.generation;
-    ++pool.jobs;
-  }
-  pool.wake_cv.notify_all();
-
-  // The submitting thread works its own deque (slot 0); mark it as
-  // "inside the pool" so the job's own nested parallel calls run
-  // inline.
-  t_on_worker = true;
-  Impl::work(job, /*slot=*/0);
-  t_on_worker = false;
-
-  // Every chunk is claimed; wait until every helper that joined has
-  // left the job before the stack frame holding it unwinds.
-  std::unique_lock<std::mutex> lock(pool.mutex);
-  pool.done_cv.wait(lock, [&] { return pool.in_flight == 0; });
-  pool.job = nullptr;
-  pool.tickets = 0;
-  pool.steals_total += job.steals.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& fn,
-                  unsigned threads) {
-  parallel_for<const std::function<void(std::size_t)>&>(count, fn, threads);
+  return tiles_from_env_value(requested, std::getenv("SSKEL_THREADS"),
+                              std::thread::hardware_concurrency());
 }
 
 }  // namespace sskel

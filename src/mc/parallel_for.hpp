@@ -2,65 +2,32 @@
 //
 // Simulation runs are embarrassingly parallel: each trial has its own
 // seed, its own GraphSource, and its own simulator, sharing nothing.
-// parallel_for hands index ranges to a lazily created *persistent*
-// worker pool (scenario sweeps call it thousands of times per
-// experiment; spawning threads per call used to dominate small
-// sweeps). Scheduling is dynamic — workers claim chunks off a shared
-// atomic cursor, since trial costs vary wildly with the sampled
-// topology and static blocks would straggle. Determinism: results are
-// keyed by trial index, never by completion order; with the
-// seed-per-trial discipline (mix_seed(master, index)) any thread
-// count produces bit-identical aggregates.
-//
-// Scheduling is per-participant work-stealing (mc/steal_deque.hpp):
-// the submitter prepopulates one Chase-Lev deque per participant with
-// round-robin chunk blocks, each worker pops its own deque locally and
-// steals from the others only when dry — replacing the old single
-// shared chunk cursor, whose cache line every claim contended.
-//
-// The templated overloads are the hot path: the callable is passed by
-// reference through a type-erased (function-pointer, context) pair,
-// so no std::function is constructed and nothing allocates per call.
-// The std::function overloads remain as thin forwarders for existing
-// callers.
+// parallel_for spawns its helper threads per call; they and the caller
+// claim indices one at a time off a shared atomic counter (trial costs
+// vary wildly with the sampled topology, so static blocks would
+// straggle), and every helper is joined before the call returns.
+// Determinism: results are keyed by trial index, never by completion
+// order; with the seed-per-trial discipline (mix_seed(master, index))
+// any thread count produces bit-identical aggregates.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <type_traits>
+#include <thread>
 #include <vector>
 
 namespace sskel {
 
-/// Number of worker threads to use when `requested` is 0: the
-/// SSKEL_THREADS environment variable when set (clamped to the
-/// hardware concurrency, minimum 1), otherwise the hardware
-/// concurrency itself, at least 1. SSKEL_THREADS is re-read on every
-/// call, so tests (and long-lived embedders) can change it; note the
-/// pool's *helper threads* are spawned once with the value in effect
-/// at the first parallel job and are not re-sized afterwards — a
-/// smaller SSKEL_THREADS later still takes effect because only that
-/// many participants join a job.
-[[nodiscard]] unsigned resolve_thread_count(unsigned requested);
-
-/// The pure clamp behind SSKEL_THREADS resolution, exposed for unit
-/// tests: parses `value` (may be nullptr/empty) and clamps to
-/// [1, hardware]. Unparsable, empty, zero, or negative values fall
-/// back to `hardware`.
-[[nodiscard]] unsigned threads_from_env_value(const char* value,
-                                              unsigned hardware);
-
-/// SSKEL_THREADS as the single concurrency knob, applied to a tile
-/// count: requested == 0 resolves exactly like the worker pool
-/// (threads_from_env_value, hardware-clamped); an explicit nonzero
-/// request is *capped* by a parsed-positive SSKEL_THREADS but is NOT
-/// hardware-clamped — oversubscribed tile counts are a deliberate
-/// testing configuration (4 tiles on a 1-core host must stay 4 unless
-/// the env says less). Unparsable env values leave the request alone.
+/// SSKEL_THREADS as the single concurrency knob, applied to a worker
+/// or tile count: requested == 0 resolves to a parsed-positive
+/// `value` clamped to [1, hardware], or to max(1, hardware) when the
+/// value is unset or unparsable; an explicit nonzero request is
+/// *capped* by a parsed-positive value but is NOT hardware-clamped —
+/// oversubscribed counts are a deliberate testing configuration (4
+/// tiles on a 1-core host must stay 4 unless the env says less).
+/// Unparsable, empty, zero, or negative values leave the request (or
+/// the hardware default) alone; trailing whitespace is accepted.
 /// Pure; exposed for unit tests.
 [[nodiscard]] unsigned tiles_from_env_value(unsigned requested,
                                             const char* value,
@@ -70,100 +37,32 @@ namespace sskel {
 /// call) and hardware concurrency.
 [[nodiscard]] unsigned resolve_tile_count(unsigned requested);
 
-namespace detail {
-
-/// The process-wide persistent worker pool. Created lazily on the
-/// first parallel call that actually needs helpers; workers then park
-/// on a condition variable between jobs instead of being re-spawned.
-/// One job runs at a time (concurrent submitters serialize), and the
-/// submitting thread always participates in its own job, so a pool of
-/// hardware_concurrency - 1 helpers saturates the machine.
-class WorkerPool {
- public:
-  static WorkerPool& instance();
-
-  /// Runs invoke(ctx, i) for every i in [0, count) using up to
-  /// `participants` threads (the caller plus participants - 1 pool
-  /// helpers), claiming chunked index ranges off an atomic cursor.
-  /// Blocks until every index is done and no helper still touches the
-  /// job. invoke must not throw.
-  void run(std::size_t count, unsigned participants,
-           void (*invoke)(void*, std::size_t), void* ctx);
-
-  /// True when the calling thread is a pool helper. Nested parallel
-  /// calls from inside a job run inline (a helper re-submitting would
-  /// deadlock against the job that occupies the pool).
-  [[nodiscard]] static bool on_worker_thread();
-
-  /// Helper threads currently alive (0 before the first parallel job).
-  [[nodiscard]] unsigned helper_count();
-
-  /// The pool's size in *participating threads*: live helpers + 1 (the
-  /// submitter always works its own job), or the resolve_thread_count
-  /// target before any helpers exist.
-  [[nodiscard]] unsigned size();
-
-  /// Jobs dispatched through the pool since process start (tests
-  /// assert the pool is reused rather than re-created).
-  [[nodiscard]] std::int64_t jobs_dispatched();
-
-  /// Chunks obtained by stealing from another participant's deque
-  /// since process start (diagnostics; the work-stealing scheduler's
-  /// load-balancing activity).
-  [[nodiscard]] std::int64_t chunks_stolen();
-
- private:
-  WorkerPool();
-  ~WorkerPool();
-  struct Impl;
-  Impl* impl();  // lazily constructed; joined + destroyed at exit
-
-  std::once_flag once_;
-  std::unique_ptr<Impl> impl_;
-};
-
-}  // namespace detail
-
-/// Invokes fn(i) for every i in [0, count), distributing indices over
-/// `threads` workers (0 = hardware concurrency). Runs inline when
-/// count <= 1, when only one thread is requested, or when called from
-/// inside another parallel_for job. fn must not throw.
+/// Invokes fn(i) for every i in [0, count) on
+/// min(resolve_tile_count(threads), count) threads: the caller plus
+/// helpers spawned for this call. Runs inline, in index order, when
+/// that is one thread. fn must not throw.
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn, unsigned threads = 0) {
-  if (count == 0) return;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(resolve_thread_count(threads), count));
-  if (workers <= 1 || detail::WorkerPool::on_worker_thread()) {
+  const std::size_t workers =
+      std::min<std::size_t>(resolve_tile_count(threads), count);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  using Callable = std::remove_reference_t<Fn>;
-  detail::WorkerPool::instance().run(
-      count, workers,
-      [](void* ctx, std::size_t i) { (*static_cast<Callable*>(ctx))(i); },
-      const_cast<std::remove_const_t<Callable>*>(std::addressof(fn)));
-}
-
-/// std::function forwarder (kept for existing callers and ABI
-/// stability of the tests; hot callers use the templated overload).
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                  unsigned threads = 0);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < count; i = next++) fn(i);
+  };
+  std::vector<std::jthread> helpers;
+  helpers.reserve(workers - 1);
+  for (std::size_t h = 1; h < workers; ++h) helpers.emplace_back(work);
+  work();
+}  // helpers join here
 
 /// Maps fn over [0, count) into an index-ordered vector.
 template <typename T, typename Fn>
 [[nodiscard]] std::vector<T> collect_parallel(std::size_t count, Fn&& fn,
                                               unsigned threads = 0) {
-  std::vector<T> results(count);
-  parallel_for(
-      count, [&](std::size_t i) { results[i] = fn(i); }, threads);
-  return results;
-}
-
-/// std::function forwarder, see above.
-template <typename T>
-[[nodiscard]] std::vector<T> collect_parallel(
-    std::size_t count, const std::function<T(std::size_t)>& fn,
-    unsigned threads = 0) {
   std::vector<T> results(count);
   parallel_for(
       count, [&](std::size_t i) { results[i] = fn(i); }, threads);

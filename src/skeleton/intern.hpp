@@ -284,7 +284,7 @@ class StructureInternTable {
 };
 
 /// A run-scoped family of intern tables, one shard per worker thread,
-/// so the WorkerPool Monte-Carlo path shares structures *within* a
+/// so the parallel_for Monte-Carlo path shares structures *within* a
 /// worker without any lock on the lookup path. local() hands the
 /// calling thread its shard (created on first use behind a mutex,
 /// then served from a thread-local cache keyed by a globally unique

@@ -4,6 +4,7 @@
 // the paper's motivating partitioned-consensus scenario.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -33,14 +34,18 @@ TEST(ConsensusTest, SingleRootComponentImpliesConsensus) {
 }
 
 struct PartitionCase {
-  int m;
+  // 64-bit so the struct has no padding: gtest names a parameter that
+  // has no PrintTo by its raw bytes, and padding bytes would carry
+  // leftover stack contents into the test names.
+  std::int64_t m;
   double noise;
 };
 
 class PartitionSweep : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionSweep, ConsensusPerPartition) {
-  const auto [m, noise] = GetParam();
+  const int m = static_cast<int>(GetParam().m);
+  const double noise = GetParam().noise;
   const ProcId n = 12;
   PartitionParams params;
   params.blocks = even_blocks(n, m);

@@ -214,10 +214,10 @@ TEST(McTilePlane, RunScenarioTrialsOnDispatchesBothSchedulers) {
   const KSetRunConfig config = base_config();
   McPlaneOptions options;
   options.tiles = 2;
-  const McSummary pool = run_scenario_trials_on(
-      McScheduler::kPool, scenario, kSeed, 12, config, options);
-  const McSummary tiled = run_scenario_trials_on(
-      McScheduler::kTilePlane, scenario, kSeed, 12, config, options);
+  const McSummary pool =
+      run_scenario_trials(scenario, kSeed, 12, config, options.tiles);
+  McTilePlane plane(scenario, options);
+  const McSummary tiled = plane.run(kSeed, 12, config);
   EXPECT_EQ(pool.scheduler, "pool");
   EXPECT_EQ(tiled.scheduler, "tile-plane");
   expect_summaries_equal(pool, tiled);
@@ -325,8 +325,8 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
 }
 
 TEST(McTilePlaneEnv, TilesFromEnvValuePureCases) {
-  // requested == 0: behaves exactly like the worker-pool resolution
-  // (hardware-clamped default).
+  // requested == 0: the env value clamped to [1, hardware] (the full
+  // parsing table is ParallelForTest.ThreadsFromEnvValueParsesAndClamps).
   EXPECT_EQ(tiles_from_env_value(0, nullptr, 8), 8u);
   EXPECT_EQ(tiles_from_env_value(0, "3", 8), 3u);
   EXPECT_EQ(tiles_from_env_value(0, "12", 8), 8u);  // clamped to hw

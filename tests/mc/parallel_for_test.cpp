@@ -7,7 +7,9 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +44,19 @@ TEST(ParallelForTest, VisitsEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(100);
   parallel_for(100, [&](std::size_t i) { ++hits[i]; }, 4);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // threads = 3 means the caller plus at most two helpers.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(
+      64,
+      [&](std::size_t) {
+        const std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      },
+      3);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 3u);
 }
 
 TEST(ParallelForTest, ZeroCountIsNoop) {
@@ -53,47 +68,61 @@ TEST(ParallelForTest, SingleThreadFallback) {
   parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); },
                1);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));  // inline, in order
-}
 
-TEST(ParallelForTest, ResolveThreadCount) {
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  EXPECT_GE(resolve_thread_count(0), 1u);
+  // One index never spawns a helper, whatever the thread request:
+  // bench_mc's pool baseline runs single-trial batches on this path.
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for(
+      1,
+      [&](std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++calls;
+      },
+      8);
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(ParallelForTest, ThreadsFromEnvValueParsesAndClamps) {
+  // parallel_for resolves its thread count through resolve_tile_count;
+  // with no explicit request, SSKEL_THREADS is parsed by
+  // tiles_from_env_value(0, value, hardware).
   // In range: taken as-is.
-  EXPECT_EQ(threads_from_env_value("4", 16), 4u);
-  EXPECT_EQ(threads_from_env_value("1", 16), 1u);
-  EXPECT_EQ(threads_from_env_value("16", 16), 16u);
+  EXPECT_EQ(tiles_from_env_value(0, "4", 16), 4u);
+  EXPECT_EQ(tiles_from_env_value(0, "1", 16), 1u);
+  EXPECT_EQ(tiles_from_env_value(0, "16", 16), 16u);
   // Above hardware: clamped down.
-  EXPECT_EQ(threads_from_env_value("64", 8), 8u);
+  EXPECT_EQ(tiles_from_env_value(0, "64", 8), 8u);
   // Trailing whitespace is fine; trailing garbage is not.
-  EXPECT_EQ(threads_from_env_value("4 ", 16), 4u);
-  EXPECT_EQ(threads_from_env_value("4x", 16), 16u);
+  EXPECT_EQ(tiles_from_env_value(0, "4 ", 16), 4u);
+  EXPECT_EQ(tiles_from_env_value(0, "4x", 16), 16u);
   // Unset, empty, zero, negative, junk: fall back to hardware.
-  EXPECT_EQ(threads_from_env_value(nullptr, 12), 12u);
-  EXPECT_EQ(threads_from_env_value("", 12), 12u);
-  EXPECT_EQ(threads_from_env_value("0", 12), 12u);
-  EXPECT_EQ(threads_from_env_value("-3", 12), 12u);
-  EXPECT_EQ(threads_from_env_value("lots", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, nullptr, 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "0", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "-3", 12), 12u);
+  EXPECT_EQ(tiles_from_env_value(0, "lots", 12), 12u);
   // A zero hardware report (the standard allows it) still yields >= 1.
-  EXPECT_EQ(threads_from_env_value("4", 0), 1u);
+  EXPECT_EQ(tiles_from_env_value(0, "4", 0), 1u);
+}
+
+TEST(ParallelForTest, ResolveThreadCount) {
+  ScopedThreadsEnv env("");  // empty counts as unset
+  EXPECT_EQ(resolve_tile_count(3), 3u);
+  EXPECT_GE(resolve_tile_count(0), 1u);
 }
 
 TEST(ParallelForTest, EnvVariableCapsResolvedThreads) {
   ScopedThreadsEnv env("1");
-  EXPECT_EQ(resolve_thread_count(0), 1u);
-  // Explicit requests bypass the environment entirely.
-  EXPECT_EQ(resolve_thread_count(5), 5u);
+  EXPECT_EQ(resolve_tile_count(0), 1u);
+  // SSKEL_THREADS caps explicit requests too.
+  EXPECT_EQ(resolve_tile_count(5), 1u);
 }
 
 TEST(ParallelForTest, EnvSingleThreadRunsInlineIncludingNested) {
   // SSKEL_THREADS=1 must force the inline path: indices execute in
-  // order on the calling thread, nested calls included, with no pool
-  // job dispatched.
+  // order on the calling thread, nested calls included.
   ScopedThreadsEnv env("1");
-  const std::int64_t jobs_before =
-      detail::WorkerPool::instance().jobs_dispatched();
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> order;
   parallel_for(3, [&](std::size_t i) {
@@ -104,22 +133,11 @@ TEST(ParallelForTest, EnvSingleThreadRunsInlineIncludingNested) {
     });
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(detail::WorkerPool::instance().jobs_dispatched(), jobs_before);
-}
-
-TEST(ParallelForTest, PoolSizeCountsParticipants) {
-  using detail::WorkerPool;
-  // Before any helpers exist size() reports the resolve target; after
-  // a pool job it is exactly helpers + the submitting thread.
-  EXPECT_GE(WorkerPool::instance().size(), 1u);
-  parallel_for(64, [](std::size_t) {}, 4);  // ensure helpers spawned
-  EXPECT_EQ(WorkerPool::instance().size(),
-            WorkerPool::instance().helper_count() + 1);
 }
 
 TEST(ParallelForTest, MoveOnlyCallableUsesTemplatedOverload) {
-  // A move-only lambda cannot form a std::function, so this only
-  // compiles through the templated (allocation-free) overload.
+  // A move-only lambda cannot form a std::function; the template
+  // takes it by reference.
   std::atomic<int> hits{0};
   auto token = std::make_unique<int>(7);
   auto fn = [&hits, t = std::move(token)](std::size_t) { hits += *t; };
@@ -127,9 +145,9 @@ TEST(ParallelForTest, MoveOnlyCallableUsesTemplatedOverload) {
   EXPECT_EQ(hits.load(), 32 * 7);
 }
 
-TEST(ParallelForTest, NestedCallsRunInline) {
-  // A job body that itself calls parallel_for must not deadlock
-  // against the pool it is running on; nested calls execute inline.
+TEST(ParallelForTest, NestedCallsComplete) {
+  // A job body that itself calls parallel_for spawns and joins its own
+  // helpers; every nested index still runs exactly once.
   std::atomic<int> hits{0};
   parallel_for(
       4,
@@ -145,23 +163,6 @@ TEST(ParallelForTest, StdFunctionOverloadStillWorks) {
   const std::function<void(std::size_t)> fn = [&](std::size_t) { ++hits; };
   parallel_for(20, fn, 2);
   EXPECT_EQ(hits.load(), 20);
-}
-
-TEST(ParallelForTest, PoolIsReusedAcrossCalls) {
-  // Requesting 4 workers engages the pool regardless of the machine's
-  // core count (on a single-core host it simply has zero helpers and
-  // the caller does all the work).
-  using detail::WorkerPool;
-  parallel_for(64, [](std::size_t) {}, 4);  // warm the pool
-  const unsigned helpers = WorkerPool::instance().helper_count();
-  const std::int64_t before = WorkerPool::instance().jobs_dispatched();
-  for (int i = 0; i < 10; ++i) {
-    parallel_for(64, [](std::size_t) {}, 4);
-  }
-  // Same helper threads, ten more jobs: the pool is persistent, not
-  // re-spawned per call.
-  EXPECT_EQ(WorkerPool::instance().helper_count(), helpers);
-  EXPECT_EQ(WorkerPool::instance().jobs_dispatched(), before + 10);
 }
 
 TEST(CollectParallelTest, ResultsIndexOrdered) {

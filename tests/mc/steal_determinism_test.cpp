@@ -1,8 +1,7 @@
-// Work-stealing determinism (DESIGN.md §12): the Monte-Carlo pool
-// hands out trials through Chase-Lev deques, so which worker runs
-// which trial varies run to run — but results are keyed by trial
-// index and folded in trial order, so every aggregate must be
-// bit-identical for every thread count. Pinned here over a
+// Scheduling determinism: parallel_for's threads claim trials off a
+// shared counter, so which worker runs which trial varies run to run
+// — but results are keyed by trial index and folded in trial order,
+// so every aggregate must be bit-identical for every thread count. Pinned here over a
 // network-backed scenario (the ring message plane under the pool),
 // complementing the random-Psrcs pin in montecarlo_test.cpp.
 #include <gtest/gtest.h>
