@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <thread>
 
 #include "rounds/trace.hpp"
@@ -196,16 +197,24 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
     const std::optional<RunCapture> capture = job.scenario->capture_trial(
         mix_seed(job.master_seed, index), spec_.config);
     if (!capture.has_value()) return;
-    std::filesystem::create_directories(options_.artifact_dir);
+    // Artifacts are best-effort: an unwritable directory or a failed
+    // write skips the artifact, never the campaign.
+    std::error_code ec;
+    std::filesystem::create_directories(options_.artifact_dir, ec);
+    if (ec) return;
     const std::filesystem::path path =
         std::filesystem::path(options_.artifact_dir) /
         (job.name + "-trial-" + std::to_string(index) + "-" + reason +
          ".sskt");
     const std::vector<std::uint8_t> bytes = encode_trace(*capture);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out.good()) return;
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (out.fail()) {
+      std::filesystem::remove(path, ec);  // no torn artifacts
+      return;
+    }
     ++stats.artifacts_captured;
   };
 

@@ -1,6 +1,7 @@
 #include "kset/runner.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "graph/scc.hpp"
@@ -183,21 +184,8 @@ KSetRunReport run_kset_on_engine(RoundEngine<SkeletonMessage>& engine,
 }
 
 KSetRunReport run_kset(GraphSource& source, const KSetRunConfig& config) {
-  Simulator<SkeletonMessage> sim(source,
-                                 make_kset_processes(source.n(), config));
-  return run_kset_on_engine(sim, config);
-}
-
-KSetRunReport run_kset_recorded(GraphSource& source,
-                                const KSetRunConfig& config,
-                                std::uint64_t seed, RunCapture& capture) {
-  Simulator<SkeletonMessage> sim(source,
-                                 make_kset_processes(source.n(), config));
-  TraceRecorder recorder(source.n(), TraceSource::kSimulator, seed);
-  recorder.attach(sim);
-  KSetRunReport report = run_kset_on_engine(sim, config);
-  capture = recorder.finish(sim.trace());
-  return report;
+  KSetTrialScratch scratch;
+  return run_kset(source, config, scratch);
 }
 
 struct KSetTrialScratch::Impl {
@@ -209,7 +197,6 @@ struct KSetTrialScratch::Impl {
   std::vector<Value> default_props;
   ProcId n = 0;
   DecisionGuard guard = DecisionGuard::kAfterRoundN;
-  std::int64_t reuses = 0;
 };
 
 KSetTrialScratch::KSetTrialScratch() = default;
@@ -218,12 +205,8 @@ KSetTrialScratch::KSetTrialScratch(KSetTrialScratch&&) noexcept = default;
 KSetTrialScratch& KSetTrialScratch::operator=(KSetTrialScratch&&) noexcept =
     default;
 
-std::int64_t KSetTrialScratch::reuses() const {
-  return impl_ != nullptr ? impl_->reuses : 0;
-}
-
 KSetRunReport run_kset(GraphSource& source, const KSetRunConfig& config,
-                       KSetTrialScratch& scratch) {
+                       KSetTrialScratch& scratch, RunCapture* capture) {
   if (scratch.impl_ == nullptr) {
     scratch.impl_ = std::make_unique<KSetTrialScratch::Impl>();
   }
@@ -263,14 +246,21 @@ KSetRunReport run_kset(GraphSource& source, const KSetRunConfig& config,
       proc->reset((*proposals)[static_cast<std::size_t>(p)]);
       proc->set_intern_table(table);
     }
-    ++impl.reuses;
   }
 
+  std::optional<TraceRecorder> recorder;
+  if (capture != nullptr) {
+    recorder.emplace(n, TraceSource::kSimulator);
+    recorder->attach(*impl.sim);
+  }
   if (config.intern != nullptr) {
     impl.tracker->attach_intern(&config.intern->local());
   }
   impl.sim->add_observer(impl.tracker->observer());
-  return run_kset_core(*impl.sim, config, *impl.tracker, impl.views);
+  KSetRunReport report =
+      run_kset_core(*impl.sim, config, *impl.tracker, impl.views);
+  if (recorder) *capture = recorder->finish(impl.sim->trace());
+  return report;
 }
 
 }  // namespace sskel

@@ -106,10 +106,12 @@ make_kset_processes(ProcId n, const KSetRunConfig& config);
 [[nodiscard]] KSetRunReport run_kset_on_engine(
     RoundEngine<SkeletonMessage>& engine, const KSetRunConfig& config);
 
-/// Convenience wrapper: processes + Simulator over `source`, then
-/// run_kset_on_engine.
+/// Convenience wrapper: the scratch run_kset below on a fresh
+/// KSetTrialScratch.
 [[nodiscard]] KSetRunReport run_kset(GraphSource& source,
                                      const KSetRunConfig& config);
+
+struct RunCapture;
 
 /// Reusable across-trial state for run_kset: the Simulator (round
 /// graph + outbox storage) and the n process objects survive between
@@ -129,39 +131,32 @@ class KSetTrialScratch {
   KSetTrialScratch(KSetTrialScratch&&) noexcept;
   KSetTrialScratch& operator=(KSetTrialScratch&&) noexcept;
 
-  /// Trials served by reusing the persistent engine (vs rebuilt).
-  [[nodiscard]] std::int64_t reuses() const;
-
  private:
   friend KSetRunReport run_kset(GraphSource& source,
                                 const KSetRunConfig& config,
-                                KSetTrialScratch& scratch);
+                                KSetTrialScratch& scratch,
+                                RunCapture* capture);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// run_kset with persistent engine/process reuse. Reports are
-/// bit-identical to the scratch-free overload (the scheduler
-/// equivalence tripwire pins this).
+/// The one Simulator trial path: processes + Simulator over `source`
+/// (persisted in `scratch` across trials), then the run loop of
+/// run_kset_on_engine. Reports are bit-identical whether the scratch
+/// is fresh or reused (the scheduler-equivalence tripwire pins this).
+///
+/// With a non-null `capture`, a TraceRecorder observes the run and
+/// `capture` receives the full SSKT-encodable run — per-round graphs
+/// and engine accounting; header seed 0, for the caller to stamp. The
+/// recorder only observes, so the report is unchanged. This is the
+/// campaign's misbehaving-trial capture path: replaying the capture
+/// reproduces the exact run.
 [[nodiscard]] KSetRunReport run_kset(GraphSource& source,
                                      const KSetRunConfig& config,
-                                     KSetTrialScratch& scratch);
+                                     KSetTrialScratch& scratch,
+                                     RunCapture* capture = nullptr);
 
 /// Default distinct proposals (100*p + 7) for n processes.
 [[nodiscard]] std::vector<Value> default_proposals(ProcId n);
-
-struct RunCapture;
-
-/// run_kset with a TraceRecorder attached: the report is bit-identical
-/// to run_kset over the same source/config (the recorder only
-/// observes), and `capture` receives the full SSKT-encodable run —
-/// per-round graphs and engine accounting, stamped with `seed` in the
-/// header. This is the campaign's misbehaving-trial capture path: a
-/// flagged seed is re-run through here and the capture written as a
-/// crash artifact, so replaying the artifact reproduces the exact run.
-[[nodiscard]] KSetRunReport run_kset_recorded(GraphSource& source,
-                                              const KSetRunConfig& config,
-                                              std::uint64_t seed,
-                                              RunCapture& capture);
 
 }  // namespace sskel

@@ -16,9 +16,10 @@
 //     RingMux-merged, exactly like the multiplexed net runs;
 //   * each tile owns persistent worker state — its InternDomain shard
 //     (tile threads live across batches, so InternDomain::local() is
-//     stable per tile), its ProcSet word arena, and a reusable
-//     engine/scenario scratch (ScenarioFactory::make_scratch) — so a
-//     trial resets hot structures instead of reconstructing them;
+//     stable per tile), its ProcSet word arena, and one reusable
+//     ScenarioFactory::Scratch (engine, processes and the graph
+//     source slot SimulatorScenario::run_trial manages) — so a trial
+//     resets hot structures instead of reconstructing them;
 //   * tiles are placed physical-core-first from the probed host
 //     topology when pinning is enabled (util/topology.hpp), and the
 //     effective placement + failed pin count surface in McSummary.
@@ -178,7 +179,7 @@ class McTilePlane {
   /// Persistent cross-batch intern domain; tile threads are stable so
   /// each tile keeps one shard for the service's lifetime.
   InternDomain intern_;
-  /// Per-tile engine/scenario scratch (index = tile).
+  /// Per-tile trial scratch (index = tile).
   std::vector<std::unique_ptr<ScenarioFactory::Scratch>> scratch_;
   /// Circular in-flight result window: trial i lands in slot
   /// i % window (unique while in flight — the window bound guarantees

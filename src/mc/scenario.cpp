@@ -1,5 +1,6 @@
 #include "mc/scenario.hpp"
 
+#include <atomic>
 #include <bit>
 #include <memory>
 #include <utility>
@@ -30,66 +31,40 @@ void fp_double(std::vector<std::uint8_t>& out, double v) {
   put_varint(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Scratch for the simulator-backed scenarios: one persistent
-/// engine + process vector per worker (kset/runner.hpp).
-class KSetScratch : public ScenarioFactory::Scratch {
- public:
-  KSetTrialScratch kset;
-};
-
-/// PartitionScenario's scratch additionally persists the graph source:
-/// the partition's stable structure is seed-independent, so a reseed
-/// replays exactly what a fresh construction would produce without
-/// re-validating the blocks or rebuilding the stable graph.
-class PartitionScratch final : public KSetScratch {
- public:
-  std::unique_ptr<PartitionSource> source;
-};
-
-/// Downcast helper: any foreign scratch (or nullptr) degrades to the
-/// scratch-free path rather than failing.
-KSetTrialScratch* kset_scratch(ScenarioFactory::Scratch* scratch) {
-  auto* typed = dynamic_cast<KSetScratch*>(scratch);
-  return typed != nullptr ? &typed->kset : nullptr;
-}
-
-ScenarioTrial run_kset_trial(GraphSource& source, const KSetRunConfig& config,
-                             ScenarioFactory::Scratch* scratch) {
-  KSetTrialScratch* reuse = kset_scratch(scratch);
-  return from_report(reuse != nullptr ? run_kset(source, config, *reuse)
-                                      : run_kset(source, config));
-}
-
-std::unique_ptr<ScenarioFactory::Scratch> make_kset_scratch() {
-  return std::make_unique<KSetScratch>();
-}
+std::atomic<std::uint64_t> next_simulator_scenario_id{1};
 
 }  // namespace
 
-ScenarioTrial RandomPsrcsScenario::run_trial(
+SimulatorScenario::SimulatorScenario()
+    : id_(next_simulator_scenario_id.fetch_add(1,
+                                               std::memory_order_relaxed)) {}
+
+ScenarioTrial SimulatorScenario::run_trial(std::uint64_t seed,
+                                           const KSetRunConfig& config,
+                                           Scratch* scratch) const {
+  if (scratch == nullptr) return ScenarioFactory::run_trial(seed, config);
+  if (scratch->source_owner != id_) {
+    scratch->source.reset();
+    scratch->source_owner = id_;
+  }
+  return from_report(
+      run_kset(source(seed, scratch->source), config, scratch->kset));
+}
+
+std::optional<RunCapture> SimulatorScenario::capture_trial(
     std::uint64_t seed, const KSetRunConfig& config) const {
-  RandomPsrcsSource source(seed, params_);
-  return from_report(run_kset(source, config));
-}
-
-std::unique_ptr<ScenarioFactory::Scratch> RandomPsrcsScenario::make_scratch()
-    const {
-  return make_kset_scratch();
-}
-
-ScenarioTrial RandomPsrcsScenario::run_trial(std::uint64_t seed,
-                                             const KSetRunConfig& config,
-                                             Scratch* scratch) const {
-  RandomPsrcsSource source(seed, params_);
-  return run_kset_trial(source, config, scratch);
-}
-
-std::optional<RunCapture> RandomPsrcsScenario::capture_trial(
-    std::uint64_t seed, const KSetRunConfig& config) const {
-  RandomPsrcsSource source(seed, params_);
+  Scratch scratch;
   RunCapture capture;
-  (void)run_kset_recorded(source, config, seed, capture);
+  (void)run_kset(source(seed, scratch.source), config, scratch.kset,
+                 &capture);
+  capture.header.seed = seed;
   return capture;
+}
+
+GraphSource& RandomPsrcsScenario::source(
+    std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const {
+  slot = std::make_unique<RandomPsrcsSource>(seed, params_);
+  return *slot;
 }
 
 void RandomPsrcsScenario::append_fingerprint(
@@ -111,33 +86,10 @@ CrashScenario::CrashScenario(ProcId n, int crashes, Round max_crash_round)
   SSKEL_REQUIRE(max_crash_round_ >= 1);
 }
 
-ScenarioTrial CrashScenario::run_trial(std::uint64_t seed,
-                                       const KSetRunConfig& config) const {
-  const std::unique_ptr<CrashSource> source =
-      make_random_crash_source(seed, n_, crashes_, max_crash_round_);
-  return from_report(run_kset(*source, config));
-}
-
-std::unique_ptr<ScenarioFactory::Scratch> CrashScenario::make_scratch()
-    const {
-  return make_kset_scratch();
-}
-
-ScenarioTrial CrashScenario::run_trial(std::uint64_t seed,
-                                       const KSetRunConfig& config,
-                                       Scratch* scratch) const {
-  const std::unique_ptr<CrashSource> source =
-      make_random_crash_source(seed, n_, crashes_, max_crash_round_);
-  return run_kset_trial(*source, config, scratch);
-}
-
-std::optional<RunCapture> CrashScenario::capture_trial(
-    std::uint64_t seed, const KSetRunConfig& config) const {
-  const std::unique_ptr<CrashSource> source =
-      make_random_crash_source(seed, n_, crashes_, max_crash_round_);
-  RunCapture capture;
-  (void)run_kset_recorded(*source, config, seed, capture);
-  return capture;
+GraphSource& CrashScenario::source(std::uint64_t seed,
+                                   std::unique_ptr<GraphSource>& slot) const {
+  slot = make_random_crash_source(seed, n_, crashes_, max_crash_round_);
+  return *slot;
 }
 
 void CrashScenario::append_fingerprint(std::vector<std::uint8_t>& out) const {
@@ -152,38 +104,18 @@ PartitionScenario::PartitionScenario(PartitionParams params)
   n_ = params_.blocks.front().universe();
 }
 
-ScenarioTrial PartitionScenario::run_trial(
-    std::uint64_t seed, const KSetRunConfig& config) const {
-  PartitionSource source(seed, params_);
-  return from_report(run_kset(source, config));
-}
-
-std::unique_ptr<ScenarioFactory::Scratch> PartitionScenario::make_scratch()
-    const {
-  return std::make_unique<PartitionScratch>();
-}
-
-ScenarioTrial PartitionScenario::run_trial(std::uint64_t seed,
-                                           const KSetRunConfig& config,
-                                           Scratch* scratch) const {
-  if (auto* typed = dynamic_cast<PartitionScratch*>(scratch)) {
-    if (typed->source == nullptr) {
-      typed->source = std::make_unique<PartitionSource>(seed, params_);
-    } else {
-      typed->source->reseed(seed);
-    }
-    return run_kset_trial(*typed->source, config, scratch);
+GraphSource& PartitionScenario::source(
+    std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const {
+  // The partition's stable structure is seed-independent, so reseeding
+  // the source this scenario built replays exactly what a fresh
+  // construction would produce without re-validating the blocks or
+  // rebuilding the stable graph.
+  if (slot == nullptr) {
+    slot = std::make_unique<PartitionSource>(seed, params_);
+  } else {
+    static_cast<PartitionSource&>(*slot).reseed(seed);
   }
-  PartitionSource source(seed, params_);
-  return run_kset_trial(source, config, scratch);
-}
-
-std::optional<RunCapture> PartitionScenario::capture_trial(
-    std::uint64_t seed, const KSetRunConfig& config) const {
-  PartitionSource source(seed, params_);
-  RunCapture capture;
-  (void)run_kset_recorded(source, config, seed, capture);
-  return capture;
+  return *slot;
 }
 
 void PartitionScenario::append_fingerprint(
@@ -206,39 +138,12 @@ RotatingScenario::RotatingScenario(ProcId n, Round hold)
   SSKEL_REQUIRE(hold_ >= 1);
 }
 
-ScenarioTrial RotatingScenario::run_trial(std::uint64_t seed,
-                                          const KSetRunConfig& config) const {
+GraphSource& RotatingScenario::source(
+    std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const {
   const ProcId first_center =
       static_cast<ProcId>(seed % static_cast<std::uint64_t>(n_));
-  const std::unique_ptr<GraphSource> source =
-      make_rotating_star_source(n_, hold_, first_center);
-  return from_report(run_kset(*source, config));
-}
-
-std::unique_ptr<ScenarioFactory::Scratch> RotatingScenario::make_scratch()
-    const {
-  return make_kset_scratch();
-}
-
-ScenarioTrial RotatingScenario::run_trial(std::uint64_t seed,
-                                          const KSetRunConfig& config,
-                                          Scratch* scratch) const {
-  const ProcId first_center =
-      static_cast<ProcId>(seed % static_cast<std::uint64_t>(n_));
-  const std::unique_ptr<GraphSource> source =
-      make_rotating_star_source(n_, hold_, first_center);
-  return run_kset_trial(*source, config, scratch);
-}
-
-std::optional<RunCapture> RotatingScenario::capture_trial(
-    std::uint64_t seed, const KSetRunConfig& config) const {
-  const ProcId first_center =
-      static_cast<ProcId>(seed % static_cast<std::uint64_t>(n_));
-  const std::unique_ptr<GraphSource> source =
-      make_rotating_star_source(n_, hold_, first_center);
-  RunCapture capture;
-  (void)run_kset_recorded(*source, config, seed, capture);
-  return capture;
+  slot = make_rotating_star_source(n_, hold_, first_center);
+  return *slot;
 }
 
 void RotatingScenario::append_fingerprint(
@@ -253,7 +158,9 @@ NetScenario::NetScenario(LinkMatrix links, NetConfig net)
 }
 
 ScenarioTrial NetScenario::run_trial(std::uint64_t seed,
-                                     const KSetRunConfig& config) const {
+                                     const KSetRunConfig& config,
+                                     Scratch* scratch) const {
+  (void)scratch;  // the network driver keeps no cross-trial state
   NetKSetConfig net_config;
   net_config.run = config;
   net_config.net = net_;

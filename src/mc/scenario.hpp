@@ -63,35 +63,37 @@ class ScenarioFactory {
   /// must never append identical bytes.
   virtual void append_fingerprint(std::vector<std::uint8_t>& out) const = 0;
 
-  /// Runs one independent trial with the given seed.
-  [[nodiscard]] virtual ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const = 0;
-
-  /// Opaque per-worker trial state a scenario may reuse across trials
-  /// (persistent engine + process objects — DESIGN.md §13). Purity is
-  /// preserved: a trial run with scratch must be bit-identical to one
-  /// run without (the scheduler-equivalence tripwire pins this). One
-  /// scratch must only serve one trial at a time.
-  class Scratch {
-   public:
-    virtual ~Scratch() = default;
+  /// Per-worker trial state reused across trials (DESIGN.md §13): the
+  /// persistent engine + process objects, and a slot for the graph
+  /// source of the last trial, tagged with the scenario that built it.
+  /// A scenario reuses the slot only when it built it, so any scratch
+  /// may serve any scenario. Purity is preserved: a trial run with
+  /// scratch must be bit-identical to one run without (the
+  /// scheduler-equivalence tripwire pins this). One scratch must only
+  /// serve one trial at a time.
+  struct Scratch {
+    KSetTrialScratch kset;
+    std::unique_ptr<GraphSource> source;
+    std::uint64_t source_owner = 0;  // SimulatorScenario id; 0 = none
   };
 
-  /// Creates worker scratch, or nullptr when the scenario has no
-  /// reusable state (the default). The engine keeps one per
-  /// worker/tile and threads it through run_trial.
-  [[nodiscard]] virtual std::unique_ptr<Scratch> make_scratch() const {
-    return nullptr;
+  /// Creates worker scratch; the engine keeps one per worker/tile and
+  /// threads it through run_trial.
+  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const {
+    return std::make_unique<Scratch>();
   }
 
-  /// Scratch-aware trial; the default ignores the scratch and
-  /// delegates to the pure overload.
+  /// Runs one independent trial with the given seed on fresh scratch.
+  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
+                                        const KSetRunConfig& config) const {
+    Scratch fresh;
+    return run_trial(seed, config, &fresh);
+  }
+
+  /// Runs one trial reusing `scratch` (nullptr: fresh scratch).
   [[nodiscard]] virtual ScenarioTrial run_trial(std::uint64_t seed,
                                                 const KSetRunConfig& config,
-                                                Scratch* scratch) const {
-    (void)scratch;
-    return run_trial(seed, config);
-  }
+                                                Scratch* scratch) const = 0;
 
   /// Re-runs trial `seed` with a trace recorder attached and returns
   /// the SSKT-encodable capture — the campaign engine's crash-artifact
@@ -110,9 +112,38 @@ class ScenarioFactory {
   ScenarioFactory() = default;
 };
 
+/// A scenario whose trials are Algorithm 1 on the Simulator: the run
+/// is fully described by its sequence of communication graphs, so the
+/// one hook a subclass defines is source() — how trial `seed` builds
+/// its GraphSource. Scratch reuse and capture are decided here, once.
+class SimulatorScenario : public ScenarioFactory {
+ public:
+  using ScenarioFactory::run_trial;
+  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
+                                        const KSetRunConfig& config,
+                                        Scratch* scratch) const final;
+  [[nodiscard]] std::optional<RunCapture> capture_trial(
+      std::uint64_t seed, const KSetRunConfig& config) const final;
+
+ protected:
+  SimulatorScenario();
+
+  /// The graph source of trial `seed`. `slot` is empty or holds the
+  /// source this scenario built for an earlier trial; the hook fills
+  /// it (reusing what it holds when it can) and returns its source.
+  [[nodiscard]] virtual GraphSource& source(
+      std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const = 0;
+
+ private:
+  /// Tags the scratch source slots this scenario fills. A process-wide
+  /// counter rather than `this`: a scenario built at a destroyed one's
+  /// address must not inherit its source.
+  std::uint64_t id_;
+};
+
 /// Random graphs satisfying Psrcs(k) by construction (experiments E2,
 /// E4, E5, E8). The seed picks cores, hubs and noise.
-class RandomPsrcsScenario final : public ScenarioFactory {
+class RandomPsrcsScenario final : public SimulatorScenario {
  public:
   explicit RandomPsrcsScenario(RandomPsrcsParams params)
       : params_(params) {}
@@ -120,16 +151,12 @@ class RandomPsrcsScenario final : public ScenarioFactory {
   [[nodiscard]] std::string name() const override { return "random-psrcs"; }
   [[nodiscard]] ProcId n() const override { return params_.n; }
   void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
-  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
-  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
-                                        const KSetRunConfig& config,
-                                        Scratch* scratch) const override;
-  [[nodiscard]] std::optional<RunCapture> capture_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
 
   [[nodiscard]] const RandomPsrcsParams& params() const { return params_; }
+
+ protected:
+  [[nodiscard]] GraphSource& source(
+      std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
 
  private:
   RandomPsrcsParams params_;
@@ -137,21 +164,17 @@ class RandomPsrcsScenario final : public ScenarioFactory {
 
 /// Classic synchronous crash failures (experiment E7's model): the
 /// seed picks victims, crash rounds and partial-broadcast receivers.
-class CrashScenario final : public ScenarioFactory {
+class CrashScenario final : public SimulatorScenario {
  public:
   CrashScenario(ProcId n, int crashes, Round max_crash_round);
 
   [[nodiscard]] std::string name() const override { return "crash"; }
   [[nodiscard]] ProcId n() const override { return n_; }
   void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
-  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
-  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
-                                        const KSetRunConfig& config,
-                                        Scratch* scratch) const override;
-  [[nodiscard]] std::optional<RunCapture> capture_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
+
+ protected:
+  [[nodiscard]] GraphSource& source(
+      std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
 
  private:
   ProcId n_;
@@ -161,21 +184,17 @@ class CrashScenario final : public ScenarioFactory {
 
 /// Partitioned systems (the paper's motivating k > 1 scenario): fixed
 /// blocks, seeded transient cross-block noise.
-class PartitionScenario final : public ScenarioFactory {
+class PartitionScenario final : public SimulatorScenario {
  public:
   explicit PartitionScenario(PartitionParams params);
 
   [[nodiscard]] std::string name() const override { return "partition"; }
   [[nodiscard]] ProcId n() const override { return n_; }
   void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
-  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
-  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
-                                        const KSetRunConfig& config,
-                                        Scratch* scratch) const override;
-  [[nodiscard]] std::optional<RunCapture> capture_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
+
+ protected:
+  [[nodiscard]] GraphSource& source(
+      std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
 
  private:
   PartitionParams params_;
@@ -186,21 +205,17 @@ class PartitionScenario final : public ScenarioFactory {
 /// perpetual synchrony. Deterministic per trial except the initial
 /// center, which the seed picks — Psrcs fails by design, so this is
 /// the engine's negative control.
-class RotatingScenario final : public ScenarioFactory {
+class RotatingScenario final : public SimulatorScenario {
  public:
   explicit RotatingScenario(ProcId n, Round hold = 1);
 
   [[nodiscard]] std::string name() const override { return "rotating-star"; }
   [[nodiscard]] ProcId n() const override { return n_; }
   void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
-  [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
-  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
-                                        const KSetRunConfig& config,
-                                        Scratch* scratch) const override;
-  [[nodiscard]] std::optional<RunCapture> capture_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
+
+ protected:
+  [[nodiscard]] GraphSource& source(
+      std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
 
  private:
   ProcId n_;
@@ -217,8 +232,10 @@ class NetScenario final : public ScenarioFactory {
   [[nodiscard]] std::string name() const override { return "net"; }
   [[nodiscard]] ProcId n() const override { return links_.n(); }
   void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] ScenarioTrial run_trial(
-      std::uint64_t seed, const KSetRunConfig& config) const override;
+  using ScenarioFactory::run_trial;
+  [[nodiscard]] ScenarioTrial run_trial(std::uint64_t seed,
+                                        const KSetRunConfig& config,
+                                        Scratch* scratch) const override;
 
  private:
   LinkMatrix links_;

@@ -431,6 +431,30 @@ TEST(CampaignTest, ViolatingTrialsSelfArchiveAndReplayBitExact) {
   }
 }
 
+TEST(CampaignTest, UnwritableArtifactDirSkipsArtifactsNotTheCampaign) {
+  // The artifact directory sits under a regular file, so it can never
+  // be created; every trial still violates and wants an artifact.
+  ScratchDir scratch("campaign_test.unwritable");
+  fs::create_directories(scratch.path);
+  const fs::path blocker = scratch.path / "file";
+  std::ofstream(blocker) << "not a directory";
+  CampaignSpec spec;
+  spec.config.k = 1;
+  spec.jobs.push_back(CampaignJob{"viol", make_partition_scenario(), 11, 5});
+
+  CampaignEngine plain(spec, CampaignOptions{});
+  const CampaignResult reference = plain.run();
+
+  CampaignOptions options;
+  options.artifact_dir = (blocker / "artifacts").string();
+  CampaignEngine engine(spec, options);
+  const CampaignResult result = engine.run();
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.stats.violations_detected, 5);
+  EXPECT_EQ(result.stats.artifacts_captured, 0);
+  EXPECT_EQ(job_digests(result), job_digests(reference));
+}
+
 TEST(CampaignTest, ProgressRecordsTickMonotonically) {
   CampaignSpec spec;
   spec.config.k = 2;

@@ -166,6 +166,8 @@ TEST(McTilePlane, PersistentServiceReusesInternAcrossBatches) {
 TEST(McTilePlane, ScratchReuseMatchesScratchFreeTrials) {
   // The ScenarioFactory scratch contract, scenario by scenario: a
   // reused engine must replay a trial bit-identically to a fresh one.
+  // All scenarios share one scratch, so each also inherits the previous
+  // scenario's state — including a partition source with other blocks.
   const KSetRunConfig config = base_config();
   const PartitionScenario partition = make_partition_scenario(8);
   const CrashScenario crash(9, 2, 4);
@@ -174,13 +176,16 @@ TEST(McTilePlane, ScratchReuseMatchesScratchFreeTrials) {
   params.n = 9;
   params.k = 3;
   const RandomPsrcsScenario random_psrcs(params);
+  PartitionParams four_blocks;
+  four_blocks.blocks = even_blocks(8, 4);
+  const PartitionScenario partition4(four_blocks);
 
   const ScenarioFactory* scenarios[] = {&partition, &crash, &rotating,
-                                        &random_psrcs};
+                                        &random_psrcs, &partition4};
+  const std::unique_ptr<ScenarioFactory::Scratch> scratch =
+      partition.make_scratch();
+  ASSERT_NE(scratch, nullptr);
   for (const ScenarioFactory* scenario : scenarios) {
-    const std::unique_ptr<ScenarioFactory::Scratch> scratch =
-        scenario->make_scratch();
-    ASSERT_NE(scratch, nullptr) << scenario->name();
     for (std::uint64_t seed : {7u, 19u, 7u, 23u}) {  // includes a repeat
       const ScenarioTrial fresh = scenario->run_trial(seed, config);
       const ScenarioTrial reused =

@@ -1,14 +1,19 @@
 // Tests for the scenario-driven Monte-Carlo engine: heterogeneous
 // factories (crash, partition, rotating, network-backed) all aggregate
 // through the one run_scenario_trials code path, byte accumulators are
-// gated on measure_bytes, and the trial hot loop constructs no
-// per-round graphs.
+// gated on measure_bytes, the trial hot loop constructs no per-round
+// graphs, and every Simulator scenario's capture replays its trial.
 #include "mc/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "adversary/random_psrcs.hpp"
 #include "mc/montecarlo.hpp"
+#include "rounds/record.hpp"
+#include "rounds/trace.hpp"
 
 namespace sskel {
 namespace {
@@ -175,6 +180,64 @@ TEST(ScenarioTest, TrialHotLoopConstructsNoPerRoundGraphs) {
   };
 
   EXPECT_EQ(constructions_for(4), constructions_for(40));
+}
+
+TEST(ScenarioTest, CaptureTrialReplaysTheTrialForEveryScenario) {
+  // capture_trial's contract, scenario by scenario: the capture carries
+  // the trial seed, and replaying its graphs reproduces run_trial.
+  RandomPsrcsParams psrcs;
+  psrcs.n = 7;
+  psrcs.k = 2;
+  psrcs.noise_probability = 0.3;
+  const RandomPsrcsScenario random_psrcs(psrcs);
+  const CrashScenario crash(6, 2, 3);
+  PartitionParams blocks;
+  blocks.blocks = even_blocks(8, 2);
+  blocks.cross_noise_probability = 0.3;
+  blocks.stabilization_round = 3;
+  const PartitionScenario partition(blocks);
+  const RotatingScenario rotating(5);
+  KSetRunConfig config;
+  config.k = 2;
+  config.tail_rounds = 2;
+
+  const ScenarioFactory* scenarios[] = {&random_psrcs, &crash, &partition,
+                                        &rotating};
+  for (const ScenarioFactory* scenario : scenarios) {
+    for (const std::uint64_t seed : {3u, 41u}) {
+      const std::optional<RunCapture> capture =
+          scenario->capture_trial(seed, config);
+      ASSERT_TRUE(capture.has_value()) << scenario->name();
+      EXPECT_EQ(capture->header.seed, seed) << scenario->name();
+
+      ReplaySource replay(capture->graphs);
+      const KSetRunReport replayed = run_kset(replay, config);
+      const KSetRunReport direct = scenario->run_trial(seed, config).kset;
+      ASSERT_EQ(replayed.outcomes.size(), direct.outcomes.size())
+          << scenario->name();
+      for (std::size_t p = 0; p < direct.outcomes.size(); ++p) {
+        EXPECT_EQ(replayed.outcomes[p].decided, direct.outcomes[p].decided)
+            << scenario->name() << " p=" << p;
+        EXPECT_EQ(replayed.outcomes[p].decision, direct.outcomes[p].decision)
+            << scenario->name() << " p=" << p;
+        EXPECT_EQ(replayed.outcomes[p].decision_round,
+                  direct.outcomes[p].decision_round)
+            << scenario->name() << " p=" << p;
+      }
+      EXPECT_EQ(replayed.paths, direct.paths) << scenario->name();
+      EXPECT_EQ(replayed.rounds_executed, direct.rounds_executed)
+          << scenario->name();
+      EXPECT_EQ(replayed.final_skeleton, direct.final_skeleton)
+          << scenario->name();
+      EXPECT_EQ(replayed.total_messages, direct.total_messages)
+          << scenario->name();
+    }
+  }
+
+  NetConfig net;
+  net.round_duration = 1000;
+  const NetScenario network(LinkMatrix::all_timely(4, 100, 800), net);
+  EXPECT_FALSE(network.capture_trial(3, config).has_value());
 }
 
 }  // namespace
