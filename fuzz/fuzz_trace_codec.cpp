@@ -34,7 +34,10 @@ extern "C" void sskel_fuzz_seed_corpus(
   g.add_self_loops();
   g.add_edge(0, 1);
   g.add_edge(3, 2);
-  c.graphs = {g};
+  // Node churn: round 2's graph lacks node 4, round 3's has it back.
+  Digraph churned = g;
+  churned.remove_node(4);
+  c.graphs = {g, churned, g};
   c.stats = {RoundStats{1, 7, 140, 20}};
   c.messages.push_back(MessageRecord{1, 0, {0xde, 0xad}});
   c.deliveries.push_back(DeliveryRecord{1, 0, 1, DeliveryKind::kOnTime, 900});

@@ -74,54 +74,9 @@ std::optional<int> min_psrcs_k(const Digraph& skeleton) {
   return k;
 }
 
-const PsrcsCheck& SkeletonPredicateCache::psrcs_exact(const Digraph& skeleton,
-                                                      std::uint64_t version,
-                                                      int k) {
-  if (shared_provider_) {
-    if (const PsrcsCheck* shared = shared_provider_(skeleton, version, k)) {
-      ++shared_hits_;
-      return *shared;
-    }
-  }
-  for (auto& [cached_k, cache] : psrcs_by_k_) {
-    if (cached_k == k) {
-      return cache.get(version,
-                       [&] { return check_psrcs_exact(skeleton, k); });
-    }
-  }
-  psrcs_by_k_.emplace_back(k, VersionedCache<PsrcsCheck>{});
-  return psrcs_by_k_.back().second.get(
-      version, [&] { return check_psrcs_exact(skeleton, k); });
-}
-
-const PredicateProfile& SkeletonPredicateCache::profile(
-    const Digraph& skeleton, std::uint64_t version) {
-  return profile_.get(version, [&] { return profile_skeleton(skeleton); });
-}
-
-const PredicateProfile& SkeletonPredicateCache::profile_with_roots(
-    const Digraph& skeleton, std::uint64_t version,
-    const std::vector<ProcSet>& root_components) {
-  return profile_.get(version, [&] {
-    return profile_skeleton(skeleton,
-                            static_cast<int>(root_components.size()));
-  });
-}
-
-std::int64_t SkeletonPredicateCache::psrcs_recomputes() const {
-  std::int64_t total = 0;
-  for (const auto& [k, cache] : psrcs_by_k_) total += cache.recomputes();
-  return total;
-}
-
 PredicateProfile profile_skeleton(const Digraph& skeleton) {
-  return profile_skeleton(
-      skeleton, static_cast<int>(root_components(skeleton).size()));
-}
-
-PredicateProfile profile_skeleton(const Digraph& skeleton, int root_count) {
   PredicateProfile profile;
-  profile.root_components = root_count;
+  profile.root_components = static_cast<int>(root_components(skeleton).size());
   const auto k = min_psrcs_k(skeleton);
   profile.min_k = k.value_or(skeleton.n());
   profile.theorem1_consistent = profile.root_components <= profile.min_k;

@@ -10,15 +10,9 @@
 // the relation measurable on arbitrary skeletons.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "graph/digraph.hpp"
-#include "predicates/psrcs.hpp"
-#include "util/versioned_cache.hpp"
 
 namespace sskel {
 
@@ -44,71 +38,5 @@ struct PredicateProfile {
 };
 
 [[nodiscard]] PredicateProfile profile_skeleton(const Digraph& skeleton);
-
-/// Variant for callers that already maintain the skeleton's root
-/// components (e.g. SkeletonTracker's incremental SCC analytics):
-/// takes the root-component count as given and skips the internal
-/// Tarjan pass, so profiling a tracked skeleton costs only the min-k
-/// search.
-[[nodiscard]] PredicateProfile profile_skeleton(const Digraph& skeleton,
-                                                int root_count);
-
-/// Change-driven predicate evaluation: caches Psrcs(k) verdicts and
-/// the Theorem-1 profile of a monitored skeleton, keyed on the
-/// SkeletonTracker's version stamp. Monotonicity (Lemma 1) makes the
-/// version a complete invalidation key, so per-round re-evaluation in
-/// the post-stabilization tail is a pointer return, not a subset
-/// search. Callers pass (skeleton, version) pairs from the same
-/// tracker; mixing trackers in one cache is a usage error.
-class SkeletonPredicateCache {
- public:
-  /// Optional shared-resolution hook: when set, psrcs_exact() first
-  /// asks the provider for a verdict and only falls back to the local
-  /// per-(version, k) cache when the provider returns nullptr. The
-  /// run-scoped intern table (skeleton/intern.hpp,
-  /// make_interned_psrcs_provider) plugs in here so identical stable
-  /// skeletons across trials share one subset search; the predicates
-  /// layer itself stays ignorant of interning.
-  using SharedPsrcsProvider = std::function<const PsrcsCheck*(
-      const Digraph& skeleton, std::uint64_t version, int k)>;
-
-  void set_shared_provider(SharedPsrcsProvider provider) {
-    shared_provider_ = std::move(provider);
-  }
-
-  /// Verdicts served by the shared provider instead of a local search
-  /// or cache hit.
-  [[nodiscard]] std::int64_t shared_hits() const { return shared_hits_; }
-
-  /// check_psrcs_exact(skeleton, k), recomputed only on version bumps.
-  const PsrcsCheck& psrcs_exact(const Digraph& skeleton,
-                                std::uint64_t version, int k);
-
-  /// profile_skeleton(skeleton), recomputed only on version bumps.
-  const PredicateProfile& profile(const Digraph& skeleton,
-                                  std::uint64_t version);
-
-  /// Like profile(), but reuses the caller's already-maintained root
-  /// components (a SkeletonTracker's current_root_components()) so a
-  /// recompute runs no Tarjan of its own. Callers must pass roots that
-  /// belong to `skeleton` at `version`.
-  const PredicateProfile& profile_with_roots(
-      const Digraph& skeleton, std::uint64_t version,
-      const std::vector<ProcSet>& root_components);
-
-  /// Total underlying Psrcs searches actually run, summed over all k
-  /// (for the cache-invalidation property tests).
-  [[nodiscard]] std::int64_t psrcs_recomputes() const;
-
-  [[nodiscard]] std::int64_t profile_recomputes() const {
-    return profile_.recomputes();
-  }
-
- private:
-  SharedPsrcsProvider shared_provider_;
-  std::int64_t shared_hits_ = 0;
-  std::vector<std::pair<int, VersionedCache<PsrcsCheck>>> psrcs_by_k_;
-  VersionedCache<PredicateProfile> profile_;
-};
 
 }  // namespace sskel

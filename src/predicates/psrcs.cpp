@@ -94,8 +94,9 @@ PsrcsCheck check_psrcs_exact(const Digraph& skeleton, int k) {
                           std::nullopt};
 
   // Precompute the per-candidate conflict bitsets from the skeleton's
-  // out-neighborhood rows (once per skeleton version — callers that
-  // re-check every round go through SkeletonPredicateCache).
+  // out-neighborhood rows (once per call — Psrcs(k) is a property of
+  // the stable skeleton, so callers check it once, at the end of a
+  // run).
   search.conflicts.assign(static_cast<std::size_t>(n), ProcSet(n));
   for (ProcId v = 0; v < n; ++v) {
     ProcSet& c = search.conflicts[static_cast<std::size_t>(v)];

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/varint.hpp"
 
 namespace sskel {
 
@@ -105,64 +104,6 @@ bool decode_graph_body(ByteReader& reader, ProcId n, Digraph& out) {
   }
   out = std::move(g);
   return true;
-}
-
-std::vector<std::uint8_t> encode_run(const std::vector<Digraph>& graphs) {
-  SSKEL_REQUIRE(!graphs.empty());
-  const ProcId n = graphs.front().n();
-  std::vector<std::uint8_t> out;
-  put_varint(out, static_cast<std::uint64_t>(n));
-  put_varint(out, graphs.size());
-  for (const Digraph& g : graphs) {
-    SSKEL_REQUIRE(g.n() == n);
-    encode_graph_body(out, g);
-  }
-  return out;
-}
-
-DecodeResult<std::vector<Digraph>> decode_run(
-    const std::vector<std::uint8_t>& bytes) {
-  ByteReader reader(bytes.data(), bytes.size());
-  // Range-check before the narrowing cast: a 64-bit n >= 2^31 would
-  // silently truncate into a different, valid-looking universe, and
-  // anything past kMaxDecodeUniverse sizes allocations no capture can
-  // justify.
-  std::uint64_t n_wide = 0;
-  if (!reader.read_varint_max(n_wide, kMaxDecodeUniverse, "run n")) {
-    return reader.error();
-  }
-  if (n_wide == 0) {
-    return DecodeError{DecodeStatus::kValueOutOfRange, 0, "run n"};
-  }
-  const ProcId n = static_cast<ProcId>(n_wide);
-
-  std::uint64_t rounds = 0;
-  if (!reader.read_varint(rounds, "round count")) return reader.error();
-  if (rounds == 0) {
-    return DecodeError{DecodeStatus::kValueOutOfRange, reader.pos(),
-                       "round count"};
-  }
-  // Each recorded round occupies exactly (n + 1) bitmaps; a `rounds`
-  // the remaining bytes cannot possibly hold is rejected before the
-  // reserve — a hostile varint must not demand a multi-GB allocation.
-  const std::uint64_t per_round =
-      static_cast<std::uint64_t>(bitmap_bytes(n)) *
-      (static_cast<std::uint64_t>(n) + 1);
-  if (rounds > reader.remaining() / per_round) {
-    return DecodeError{DecodeStatus::kLimitExceeded, reader.pos(),
-                       "round count"};
-  }
-  std::vector<Digraph> graphs;
-  graphs.reserve(rounds);
-  for (std::uint64_t i = 0; i < rounds; ++i) {
-    Digraph g;
-    if (!decode_graph_body(reader, n, g)) return reader.error();
-    graphs.push_back(std::move(g));
-  }
-  if (!reader.at_end()) {
-    return DecodeError{DecodeStatus::kTrailingBytes, reader.pos(), "run"};
-  }
-  return graphs;
 }
 
 }  // namespace sskel

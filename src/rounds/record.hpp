@@ -4,8 +4,8 @@
 // initial states), so capturing the sequence makes any run — random,
 // adversarial, or network-derived — perfectly reproducible and
 // shareable. RecordingSource taps a live source; ReplaySource plays a
-// capture back; the byte codec persists captures (e.g. to attach a
-// failing run to a bug report).
+// capture back. Captures persist as SSKT traces (rounds/trace.hpp),
+// whose graph frames use the body codec below.
 #pragma once
 
 #include <cstdint>
@@ -53,24 +53,10 @@ class ReplaySource final : public GraphSource {
   std::vector<Digraph> capture_;
 };
 
-/// Serializes a graph sequence (varint n, varint rounds, then one
-/// node-bitmap + out-row bitmaps per graph).
-[[nodiscard]] std::vector<std::uint8_t> encode_run(
-    const std::vector<Digraph>& graphs);
-
-/// Inverse of encode_run, hardened for untrusted bytes (captures are
-/// shared as files): every size field is validated against the bytes
-/// that remain before any allocation, node/edge references are checked
-/// against the recorded node bitmap, and varints are strict — so every
-/// accepted input satisfies encode_run(decode_run(x)) == x, and every
-/// other input is rejected with a DecodeError instead of an abort.
-[[nodiscard]] DecodeResult<std::vector<Digraph>> decode_run(
-    const std::vector<std::uint8_t>& bytes);
-
-/// Shared with the trace codec: one graph in the run-codec layout
-/// (node bitmap + n out-row bitmaps; no leading n). `reader` must sit
-/// at the graph's first byte. Used by decode_run per round and by the
-/// trace reader per kGraph frame.
+/// One graph's body in the trace codec's kGraph frame (node bitmap +
+/// n out-row bitmaps; no leading n). `reader` must sit at the graph's
+/// first byte. Hardened for untrusted bytes: nonzero padding bits and
+/// edges touching a node outside the node bitmap are rejected.
 [[nodiscard]] bool decode_graph_body(ByteReader& reader, ProcId n,
                                      Digraph& out);
 

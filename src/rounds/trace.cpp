@@ -165,11 +165,12 @@ DecodeResult<RunCapture> decode_trace(const std::vector<std::uint8_t>& bytes) {
     // Parse the payload through a sub-reader confined to the declared
     // length; a frame whose fields consume more or less than `length`
     // is malformed.
+    const std::size_t payload_start = reader.pos();
     ByteReader frame(reader.cursor(), static_cast<std::size_t>(length));
     reader.skip(static_cast<std::size_t>(length));
     const auto frame_error = [&](const DecodeError& err) {
       // Re-anchor sub-reader offsets to the whole input.
-      return DecodeError{err.status, frame_start + 1 + err.offset, err.field};
+      return DecodeError{err.status, payload_start + err.offset, err.field};
     };
     const auto type = static_cast<TraceFrame>(type_byte);
     if (type != TraceFrame::kHeader && !have_header) {

@@ -33,42 +33,43 @@ void LemmaMonitor::report(Round r, ProcId p, const std::string& what) {
 const Digraph& LemmaMonitor::component_graph(ProcId p) {
   const SccDecomposition& scc = tracker_.current_scc();
   const std::int64_t gen = tracker_.analytics_recomputes();
-  const std::vector<Digraph>& induced =
-      induced_components_.refresh(tracker_.version(), [&](
-                                      std::vector<Digraph>& graphs) {
-        // One induced subgraph per component, plus a trailing empty
-        // graph serving nodes absent from the skeleton. When we hold
-        // the immediately preceding analytics generation, the
-        // tracker's origin map tells us which components survived the
-        // shrink with members and internal edges intact — their
-        // induced graphs are moved over verbatim; only split/rebuilt
-        // components run a fresh induced() pass.
-        const std::vector<int>& origin = tracker_.component_origin();
-        const bool patchable = induced_generation_ + 1 == gen &&
-                               !graphs.empty() &&
-                               origin.size() == scc.components.size();
-        std::vector<Digraph> next;
-        next.reserve(scc.components.size() + 1);
-        for (std::size_t c = 0; c < scc.components.size(); ++c) {
-          const int o = patchable ? origin[c] : -1;
-          if (o >= 0 && static_cast<std::size_t>(o) + 1 < graphs.size()) {
-            next.push_back(std::move(graphs[static_cast<std::size_t>(o)]));
-          } else {
-            next.push_back(tracker_.skeleton().induced(scc.components[c]));
-          }
-        }
-        if (!graphs.empty()) {
-          next.push_back(std::move(graphs.back()));  // stays empty forever
-        } else {
-          next.push_back(tracker_.skeleton().induced(ProcSet(n_)));
-        }
-        graphs = std::move(next);
-      });
+  std::vector<Digraph>& graphs = induced_components_;
+  if (graphs.empty() || induced_version_ != tracker_.version()) {
+    // One induced subgraph per component, plus a trailing empty graph
+    // serving nodes absent from the skeleton. When we hold the
+    // immediately preceding analytics generation, the tracker's origin
+    // map tells us which components survived the shrink with members
+    // and internal edges intact — their induced graphs are moved over
+    // verbatim; only split/rebuilt components run a fresh induced()
+    // pass.
+    const std::vector<int>& origin = tracker_.component_origin();
+    const bool patchable = induced_generation_ + 1 == gen &&
+                           !graphs.empty() &&
+                           origin.size() == scc.components.size();
+    std::vector<Digraph> next;
+    next.reserve(scc.components.size() + 1);
+    for (std::size_t c = 0; c < scc.components.size(); ++c) {
+      const int o = patchable ? origin[c] : -1;
+      if (o >= 0 && static_cast<std::size_t>(o) + 1 < graphs.size()) {
+        next.push_back(std::move(graphs[static_cast<std::size_t>(o)]));
+      } else {
+        next.push_back(tracker_.skeleton().induced(scc.components[c]));
+      }
+    }
+    if (!graphs.empty()) {
+      next.push_back(std::move(graphs.back()));  // stays empty forever
+    } else {
+      next.push_back(tracker_.skeleton().induced(ProcSet(n_)));
+    }
+    graphs = std::move(next);
+    induced_version_ = tracker_.version();
+    ++induced_recomputes_;
+  }
   induced_generation_ = gen;
   const int idx = scc.component_of[static_cast<std::size_t>(p)];
   const std::size_t slot =
-      idx < 0 ? induced.size() - 1 : static_cast<std::size_t>(idx);
-  return induced[slot];
+      idx < 0 ? graphs.size() - 1 : static_cast<std::size_t>(idx);
+  return graphs[slot];
 }
 
 void LemmaMonitor::observe_round(Round r, const Digraph& comm_graph,

@@ -25,7 +25,6 @@
 #include "graph/labeled_digraph.hpp"
 #include "skeleton/tracker.hpp"
 #include "util/types.hpp"
-#include "util/versioned_cache.hpp"
 
 namespace sskel {
 
@@ -74,7 +73,9 @@ class LemmaMonitor {
 
   [[nodiscard]] const SkeletonTracker& tracker() const { return tracker_; }
 
-  /// Attaches a run-scoped intern table (nullptr detaches). The
+  /// Attaches a run-scoped intern table: once, non-null, before the
+  /// first observe_round (SkeletonTracker::attach_intern requires a
+  /// table and aborts once analytics have been computed). The
   /// monitor's tracker resolves its analytics through the table, and
   /// Lemma 7's per-round base-skeleton decomposition is served from
   /// the interned entry's memoized Tarjan instead of recomputed — one
@@ -97,15 +98,15 @@ class LemmaMonitor {
   /// analytics (for the cache-invalidation property tests; equals
   /// skeleton version bumps + 1 when queried every round).
   [[nodiscard]] std::int64_t analytics_recomputes() const {
-    return induced_components_.recomputes();
+    return induced_recomputes_;
   }
 
  private:
   void report(Round r, ProcId p, const std::string& what);
 
   /// Induced subgraph of the current skeleton's component containing
-  /// p, served from the version-keyed cache. On a version bump the
-  /// cache is *patched* in place: the tracker's component_origin() map
+  /// p, rebuilt only when the tracker's version moved past
+  /// induced_version_. A rebuild is a *patch*: the tracker's component_origin() map
   /// says which components survived the shrink untouched, and their
   /// induced graphs are moved over instead of rebuilt — only split or
   /// rebuilt components pay for a fresh induced() pass.
@@ -119,12 +120,15 @@ class LemmaMonitor {
   std::int64_t lemma7_private_bases_ = 0;
   /// induced[c] = skeleton restricted to component c of current_scc(),
   /// plus a trailing empty graph serving nodes absent from the
-  /// skeleton.
-  mutable VersionedCache<std::vector<Digraph>> induced_components_;
+  /// skeleton; valid for tracker version induced_version_ (empty
+  /// until the first query).
+  std::vector<Digraph> induced_components_;
+  std::uint64_t induced_version_ = 0;
+  std::int64_t induced_recomputes_ = 0;
   /// Tracker analytics generation the cached induced graphs belong to;
   /// component_origin() is only a valid carry map when we consumed the
   /// immediately preceding generation.
-  mutable std::int64_t induced_generation_ = -1;
+  std::int64_t induced_generation_ = -1;
   std::vector<std::string> violations_;
   std::vector<Value> prev_estimates_;
   /// First strongly-connected approximation snapshot per process, for

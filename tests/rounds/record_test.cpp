@@ -1,11 +1,11 @@
-// Tests for run recording, replay and the run codec.
+// Tests for run recording and replay. The codec that persists a
+// capture is SSKT's (rounds/trace_codec_test.cpp).
 #include "rounds/record.hpp"
 
 #include <gtest/gtest.h>
 
 #include "adversary/random_psrcs.hpp"
 #include "kset/runner.hpp"
-#include "util/varint.hpp"
 
 namespace sskel {
 namespace {
@@ -39,38 +39,6 @@ TEST(ReplaySourceTest, ReplaysAndRepeatsLast) {
   EXPECT_EQ(replay.n(), 3);
 }
 
-TEST(RunCodecTest, RoundTrip) {
-  RandomPsrcsParams params;
-  params.n = 11;
-  params.k = 3;
-  params.root_components = 3;
-  params.noise_probability = 0.4;
-  RandomPsrcsSource source(9, params);
-  std::vector<Digraph> run;
-  for (Round r = 1; r <= 8; ++r) run.push_back(source.graph(r));
-
-  const std::vector<std::uint8_t> bytes = encode_run(run);
-  DecodeResult<std::vector<Digraph>> back = decode_run(bytes);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), run.size());
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    EXPECT_EQ(back.value()[i], run[i]);
-  }
-  // The layout is canonical, so decode inverts encode *and* vice versa.
-  EXPECT_EQ(encode_run(back.value()), bytes);
-}
-
-TEST(RunCodecTest, PreservesNodeAbsence) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.remove_node(4);
-  DecodeResult<std::vector<Digraph>> back = decode_run(encode_run({g}));
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), 1u);
-  EXPECT_EQ(back.value()[0], g);
-  EXPECT_FALSE(back.value()[0].has_node(4));
-}
-
 TEST(RecordReplayTest, ReplayedRunReproducesDecisionsExactly) {
   // Record a live run, replay the capture, and compare every outcome —
   // the reproduce-a-bug workflow.
@@ -97,113 +65,6 @@ TEST(RecordReplayTest, ReplayedRunReproducesDecisionsExactly) {
               live.outcomes[p].decision_round);
   }
   EXPECT_EQ(replayed.final_skeleton, live.final_skeleton);
-}
-
-// --- hostile-input regressions -------------------------------------
-//
-// decode_run sees untrusted bytes (shared captures, fuzz corpora); it
-// must reject every malformed input with a DecodeError, never abort,
-// over-allocate, or mis-decode.
-
-DecodeStatus decode_status(const std::vector<std::uint8_t>& bytes) {
-  DecodeResult<std::vector<Digraph>> r = decode_run(bytes);
-  return r.ok() ? DecodeStatus::kOk : r.error().status;
-}
-
-TEST(RunCodecHostileTest, TrailingGarbageRejected) {
-  std::vector<std::uint8_t> bytes = encode_run({Digraph(3)});
-  bytes.push_back(0);
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kTrailingBytes);
-}
-
-TEST(RunCodecHostileTest, HugeRoundCountRejectedBeforeAllocation) {
-  // Regression: `graphs.reserve(rounds)` used to trust the varint, so
-  // a claimed 2^40 rounds demanded a terabyte-scale allocation. The
-  // count must be bounded by the bytes actually present.
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, 3);                       // n = 3
-  put_varint(bytes, std::uint64_t{1} << 40);  // rounds
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kLimitExceeded);
-}
-
-TEST(RunCodecHostileTest, UniverseBeyondProcIdRejectedBeforeCast) {
-  // Regression: n was narrowed to ProcId before any range check, so
-  // n = 2^32 + 3 aliased n = 3 and decoded a *different* capture.
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, (std::uint64_t{1} << 32) + 3);
-  put_varint(bytes, 1);  // rounds
-  bytes.push_back(0x07); // would be a valid n = 3 node bitmap
-  for (int row = 0; row < 3; ++row) bytes.push_back(0x00);
-  DecodeResult<std::vector<Digraph>> r = decode_run(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().status, DecodeStatus::kValueOutOfRange);
-  EXPECT_EQ(r.error().offset, 0u);  // points at the n varint
-}
-
-TEST(RunCodecHostileTest, UniverseAboveDecodeCapRejected) {
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, kMaxDecodeUniverse + 1);
-  put_varint(bytes, 1);
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kValueOutOfRange);
-}
-
-TEST(RunCodecHostileTest, OverlongVarintRejected) {
-  // Regression: get_varint accepted 0x83 0x00 as 3 (an overlong
-  // encoding), so two distinct byte strings decoded to one capture.
-  std::vector<std::uint8_t> bytes = {0x83, 0x00};
-  std::vector<std::uint8_t> rest = encode_run({Digraph(3)});
-  bytes.insert(bytes.end(), rest.begin() + 1, rest.end());
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kOverlongVarint);
-}
-
-TEST(RunCodecHostileTest, ZeroUniverseAndZeroRoundsRejected) {
-  std::vector<std::uint8_t> zero_n;
-  put_varint(zero_n, 0);
-  put_varint(zero_n, 1);
-  EXPECT_EQ(decode_status(zero_n), DecodeStatus::kValueOutOfRange);
-
-  std::vector<std::uint8_t> zero_rounds;
-  put_varint(zero_rounds, 3);
-  put_varint(zero_rounds, 0);
-  EXPECT_EQ(decode_status(zero_rounds), DecodeStatus::kValueOutOfRange);
-}
-
-TEST(RunCodecHostileTest, EdgeTouchingAbsentNodeRejected) {
-  // A row bitmap naming a node outside the node bitmap is not a graph:
-  // Digraph::add_edge would silently re-add the node.
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  std::vector<std::uint8_t> bytes = encode_run({g});
-  const std::size_t node_bitmap = bytes.size() - 4;
-  ASSERT_EQ(bytes[node_bitmap], 0x07);
-  // Drop node 2 from the node bitmap while row 0 still targets it.
-  bytes[node_bitmap] = 0x03;
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kInvalidEdge);
-
-  // Out-edges *from* an absent node are equally malformed.
-  bytes[node_bitmap + 1] = 0x02;  // row 0 back in range (0 -> 1)
-  bytes[node_bitmap + 3] = 0x01;  // absent node 2 -> 0
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kInvalidEdge);
-}
-
-TEST(RunCodecHostileTest, PaddingBitsMustBeZero) {
-  std::vector<std::uint8_t> bytes = encode_run({Digraph(3)});
-  bytes[bytes.size() - 4] |= 0xf8;  // set bits >= n in the node bitmap
-  EXPECT_EQ(decode_status(bytes), DecodeStatus::kValueOutOfRange);
-}
-
-TEST(RunCodecHostileTest, TruncationAtEveryBoundaryIsGraceful) {
-  Digraph g(9);
-  g.add_edge(0, 1);
-  g.add_edge(5, 8);
-  const std::vector<std::uint8_t> full = encode_run({g, g});
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    const std::vector<std::uint8_t> cut(full.begin(),
-                                        full.begin() + static_cast<long>(len));
-    DecodeResult<std::vector<Digraph>> r = decode_run(cut);
-    EXPECT_FALSE(r.ok()) << "prefix of length " << len << " decoded";
-  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "adversary/random_psrcs.hpp"
 #include "util/proc_set.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
@@ -89,6 +90,141 @@ TEST(TraceCodecTest, MinimalCapture) {
   EXPECT_EQ(back.value(), c);
 }
 
+TEST(TraceCodecTest, PreservesNodeAbsence) {
+  RunCapture c;
+  c.header = TraceHeader{5, TraceSource::kSimulator, 0, 0};
+  Digraph g(5);
+  g.add_edge(0, 1);
+  g.remove_node(4);
+  c.graphs = {g};
+  DecodeResult<RunCapture> back = decode_trace(encode_trace(c));
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back.value().graphs.size(), 1u);
+  EXPECT_EQ(back.value().graphs[0], g);
+  EXPECT_FALSE(back.value().graphs[0].has_node(4));
+}
+
+TEST(TraceCodecTest, RandomRunRoundTrip) {
+  // A graph-only capture of a noisy random run, the shape `sskel run
+  // --record` writes.
+  RandomPsrcsParams params;
+  params.n = 11;
+  params.k = 3;
+  params.root_components = 3;
+  params.noise_probability = 0.4;
+  RandomPsrcsSource source(9, params);
+  RunCapture c;
+  c.header = TraceHeader{11, TraceSource::kSimulator, 9, 0};
+  for (Round r = 1; r <= 8; ++r) c.graphs.push_back(source.graph(r));
+
+  const std::vector<std::uint8_t> bytes = encode_trace(c);
+  DecodeResult<RunCapture> back = decode_trace(bytes);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  ASSERT_EQ(back.value().graphs.size(), c.graphs.size());
+  for (std::size_t i = 0; i < c.graphs.size(); ++i) {
+    EXPECT_EQ(back.value().graphs[i], c.graphs[i]);
+  }
+  // The layout is canonical, so decode inverts encode *and* vice versa.
+  EXPECT_EQ(encode_trace(back.value()), bytes);
+}
+
+DecodeStatus trace_status(const std::vector<std::uint8_t>& bytes) {
+  DecodeResult<RunCapture> r = decode_trace(bytes);
+  return r.ok() ? DecodeStatus::kOk : r.error().status;
+}
+
+/// A trace of one n = 3 graph; the graph frame ends 2 bytes before the
+/// end (the kEnd frame), so its node bitmap sits at size() - 6,
+/// followed by the three out-row bitmaps.
+std::vector<std::uint8_t> one_graph_trace(const Digraph& g) {
+  RunCapture c;
+  c.header = TraceHeader{3, TraceSource::kSimulator, 0, 0};
+  c.graphs = {g};
+  return encode_trace(c);
+}
+
+/// Magic, version and a header frame whose n varint is `n_bytes`
+/// (source, seed and duration 0), then the end frame. The n varint
+/// starts at byte 7.
+std::vector<std::uint8_t> header_trace(const std::vector<std::uint8_t>& n_bytes) {
+  std::vector<std::uint8_t> bytes = {'S', 'S', 'K', 'T', 1};
+  bytes.push_back(static_cast<std::uint8_t>(TraceFrame::kHeader));
+  put_varint(bytes, n_bytes.size() + 3);
+  bytes.insert(bytes.end(), n_bytes.begin(), n_bytes.end());
+  bytes.insert(bytes.end(), {0, 0, 0});
+  bytes.push_back(static_cast<std::uint8_t>(TraceFrame::kEnd));
+  bytes.push_back(0);
+  return bytes;
+}
+
+std::vector<std::uint8_t> varint_bytes(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  put_varint(out, v);
+  return out;
+}
+
+TEST(TraceCodecHostileTest, EdgeTouchingAbsentNodeRejected) {
+  // A row bitmap naming a node outside the node bitmap is not a graph:
+  // Digraph::add_edge would silently re-add the node.
+  Digraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  std::vector<std::uint8_t> bytes = one_graph_trace(g);
+  const std::size_t node_bitmap = bytes.size() - 6;
+  ASSERT_EQ(bytes[node_bitmap], 0x07);
+  // Drop node 2 from the node bitmap while row 0 still targets it.
+  bytes[node_bitmap] = 0x03;
+  EXPECT_EQ(trace_status(bytes), DecodeStatus::kInvalidEdge);
+
+  // Out-edges *from* an absent node are equally malformed.
+  bytes[node_bitmap + 1] = 0x02;  // row 0 back in range (0 -> 1)
+  bytes[node_bitmap + 3] = 0x01;  // absent node 2 -> 0
+  EXPECT_EQ(trace_status(bytes), DecodeStatus::kInvalidEdge);
+}
+
+TEST(TraceCodecHostileTest, PaddingBitsMustBeZero) {
+  std::vector<std::uint8_t> bytes = one_graph_trace(Digraph(3));
+  ASSERT_EQ(trace_status(bytes), DecodeStatus::kOk);
+  const std::size_t node_bitmap = bytes.size() - 6;
+  bytes[node_bitmap] |= 0xf8;  // set bits >= n in the node bitmap
+  DecodeResult<RunCapture> r = decode_trace(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().status, DecodeStatus::kValueOutOfRange);
+  // Offsets inside a frame count from the start of the whole input
+  // (past the frame's type byte *and* its length varint).
+  EXPECT_EQ(r.error().offset, node_bitmap);
+}
+
+TEST(TraceCodecHostileTest, UniverseBeyondProcIdRejectedBeforeCast) {
+  // n = 2^32 + 3 must not alias n = 3 through the narrowing cast.
+  ASSERT_EQ(trace_status(header_trace(varint_bytes(3))), DecodeStatus::kOk);
+  DecodeResult<RunCapture> r =
+      decode_trace(header_trace(varint_bytes((std::uint64_t{1} << 32) + 3)));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().status, DecodeStatus::kValueOutOfRange);
+  EXPECT_EQ(r.error().offset, 7u);  // points at the n varint
+}
+
+TEST(TraceCodecHostileTest, UniverseAboveDecodeCapRejected) {
+  ASSERT_EQ(trace_status(header_trace(varint_bytes(kMaxDecodeUniverse))),
+            DecodeStatus::kOk);
+  EXPECT_EQ(trace_status(header_trace(varint_bytes(kMaxDecodeUniverse + 1))),
+            DecodeStatus::kValueOutOfRange);
+}
+
+TEST(TraceCodecHostileTest, ZeroUniverseRejected) {
+  // (A capture with zero graph frames is valid: see MinimalCapture.)
+  EXPECT_EQ(trace_status(header_trace(varint_bytes(0))),
+            DecodeStatus::kValueOutOfRange);
+}
+
+TEST(TraceCodecHostileTest, OverlongVarintRejected) {
+  // 0x83 0x00 is an overlong 3: two byte strings must not decode to
+  // one capture.
+  EXPECT_EQ(trace_status(header_trace({0x83, 0x00})),
+            DecodeStatus::kOverlongVarint);
+}
+
 TEST(TraceCodecHostileTest, TruncationAtEveryBoundaryIsGraceful) {
   const std::vector<std::uint8_t> full = encode_trace(sample_capture(5, 3));
   for (std::size_t len = 0; len < full.size(); ++len) {
@@ -97,6 +233,40 @@ TEST(TraceCodecHostileTest, TruncationAtEveryBoundaryIsGraceful) {
     DecodeResult<RunCapture> r = decode_trace(cut);
     EXPECT_FALSE(r.ok()) << "prefix of length " << len << " decoded";
   }
+}
+
+TEST(TraceCodecHostileTest, GraphOnlyTruncationIsGraceful) {
+  // Every prefix of a graph-only capture (no message or delivery
+  // frames) must be rejected, including cuts inside a graph bitmap.
+  RunCapture c;
+  c.header = TraceHeader{9, TraceSource::kSimulator, 0, 0};
+  Digraph g(9);
+  g.add_edge(0, 1);
+  g.add_edge(5, 8);
+  c.graphs = {g, g};
+  const std::vector<std::uint8_t> full = encode_trace(c);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const std::vector<std::uint8_t> cut(full.begin(),
+                                        full.begin() + static_cast<long>(len));
+    DecodeResult<RunCapture> r = decode_trace(cut);
+    EXPECT_FALSE(r.ok()) << "prefix of length " << len << " decoded";
+  }
+}
+
+TEST(TraceCodecHostileTest, TrailingGarbageAfterEndRejected) {
+  std::vector<std::uint8_t> bytes = one_graph_trace(Digraph(3));
+  bytes.push_back(0);
+  EXPECT_EQ(trace_status(bytes), DecodeStatus::kTrailingBytes);
+}
+
+TEST(TraceCodecHostileTest, HugeGraphFrameRejectedBeforeAllocation) {
+  // A graph frame claiming 2^40 payload bytes must be bounded by the
+  // bytes actually present, not trusted for a reservation.
+  std::vector<std::uint8_t> bytes = header_trace(varint_bytes(3));
+  bytes.resize(bytes.size() - 2);  // drop the end frame
+  bytes.push_back(static_cast<std::uint8_t>(TraceFrame::kGraph));
+  put_varint(bytes, std::uint64_t{1} << 40);
+  EXPECT_EQ(trace_status(bytes), DecodeStatus::kLimitExceeded);
 }
 
 TEST(TraceCodecHostileTest, SingleBitFlipsNeverCrashAndStayDeterministic) {

@@ -1,9 +1,9 @@
 // Cache-invalidation property tests for the change-driven analytics
 // (DESIGN.md §8-9): across randomized interleavings of shrinking and
-// no-op rounds, every version-cached result stays *equivalent* to a
-// fresh recomputation, and the number of recomputations equals the
-// number of version bumps (+1 for the initial fill) — never once per
-// round.
+// no-op rounds, the tracker's and the lemma monitor's version-keyed
+// results stay *equivalent* to a fresh recomputation, and the number
+// of recomputations equals the number of version bumps (+1 for the
+// initial fill) — never once per round.
 //
 // "Equivalent", not "bit-identical": the tracker's SCC analytics are
 // maintained incrementally (graph/inc_scc.hpp), and the incremental
@@ -15,12 +15,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/labeled_digraph.hpp"
 #include "graph/scc.hpp"
-#include "predicates/analysis.hpp"
-#include "predicates/psrcs.hpp"
+#include "skeleton/lemmas.hpp"
 #include "skeleton/tracker.hpp"
 #include "util/rng.hpp"
-#include "util/versioned_cache.hpp"
 
 namespace sskel {
 namespace {
@@ -80,15 +79,11 @@ TEST(AnalyticsCacheProperty, CachedEqualsFreshAcrossRandomRuns) {
     Rng rng(mix_seed(0xCAC4E, seed));
     const ProcId n = static_cast<ProcId>(6 + rng.next_below(10));  // 6..15
     SkeletonTracker tracker(n);
-    SkeletonPredicateCache predicates;
-    const int k = 2;
 
     std::uint64_t bumps = 0;
-    std::int64_t psrcs_queries = 0;
-    // Prime both caches at version 0 so "recomputes == bumps + 1"
+    // Prime the analytics at version 0 so "recomputes == bumps + 1"
     // holds even when the very first round already shrinks.
     (void)tracker.current_root_components();
-    (void)predicates.psrcs_exact(tracker.skeleton(), tracker.version(), k);
     const Round rounds = 40;
     for (Round r = 1; r <= rounds; ++r) {
       // Shrinking round with probability ~1/3 (while edges remain),
@@ -115,17 +110,6 @@ TEST(AnalyticsCacheProperty, CachedEqualsFreshAcrossRandomRuns) {
       // Equivalent to fresh recomputation, every round.
       expect_scc_equivalent(tracker);
 
-      const PsrcsCheck& cached =
-          predicates.psrcs_exact(tracker.skeleton(), tracker.version(), k);
-      const PsrcsCheck fresh_psrcs = check_psrcs_exact(tracker.skeleton(), k);
-      ++psrcs_queries;
-      ASSERT_EQ(cached.holds, fresh_psrcs.holds);
-      ASSERT_EQ(cached.violating_subset, fresh_psrcs.violating_subset);
-      ASSERT_EQ(cached.subsets_checked, fresh_psrcs.subsets_checked);
-      // Exact verdicts are always certified at full confidence.
-      ASSERT_TRUE(cached.certified);
-      ASSERT_EQ(cached.confidence, 1.0);
-
       ASSERT_EQ(tracker.stabilized_for(),
                 tracker.rounds_observed() - tracker.last_change_round());
     }
@@ -133,10 +117,8 @@ TEST(AnalyticsCacheProperty, CachedEqualsFreshAcrossRandomRuns) {
     // The recompute counters are the heart of the property: work
     // happened exactly once per version (plus the initial fill), not
     // once per round.
-    ASSERT_GT(psrcs_queries, static_cast<std::int64_t>(bumps) + 1);
+    ASSERT_GT(static_cast<std::uint64_t>(rounds), bumps + 1);
     EXPECT_EQ(tracker.analytics_recomputes(),
-              static_cast<std::int64_t>(bumps) + 1);
-    EXPECT_EQ(predicates.psrcs_recomputes(),
               static_cast<std::int64_t>(bumps) + 1);
     EXPECT_EQ(tracker.version(), bumps);
   }
@@ -188,39 +170,52 @@ TEST(AnalyticsCacheProperty, SparseQueriesBatchDeltasCorrectly) {
   }
 }
 
-// --- VersionedCache unit tests --------------------------------------------
-
-TEST(VersionedCacheTest, InvalidateResetsStampAndCounts) {
-  VersionedCache<int> cache;
-  int fills = 0;
-  const auto fill = [&] { return ++fills; };
-  EXPECT_EQ(cache.get(7, fill), 1);
-  EXPECT_EQ(cache.get(7, fill), 1);  // hit
-  EXPECT_TRUE(cache.fresh(7));
-  EXPECT_EQ(cache.invalidations(), 0);
-
-  cache.invalidate();
-  EXPECT_FALSE(cache.fresh(7));
-  EXPECT_FALSE(cache.fresh(0));  // the stamp is gone, not reset-to-valid
-  EXPECT_EQ(cache.invalidations(), 1);
-  // Re-querying the *same* version recomputes: the stale stamp no
-  // longer shadows the invalidation (the old bug kept version_ == 7
-  // around, so accounting drifted once callers re-validated).
-  EXPECT_EQ(cache.get(7, fill), 2);
-  EXPECT_EQ(cache.recomputes(), 2);
-  EXPECT_EQ(cache.invalidations(), 1);
-}
-
-TEST(VersionedCacheTest, RefreshUpdatesInPlace) {
-  VersionedCache<std::vector<int>> cache;
-  const auto append = [](std::vector<int>& v) { v.push_back(1); };
-  EXPECT_EQ(cache.refresh(1, append).size(), 1u);  // first fill
-  EXPECT_EQ(cache.refresh(1, append).size(), 1u);  // hit: no update
-  EXPECT_EQ(cache.refresh(2, append).size(), 2u);  // stale: in-place
-  EXPECT_EQ(cache.recomputes(), 2);
-  cache.invalidate();
-  EXPECT_EQ(cache.refresh(2, append).size(), 3u);  // forced
-  EXPECT_EQ(cache.recomputes(), 3);
+TEST(AnalyticsCacheProperty, LemmaMonitorComponentsFollowTheSkeleton) {
+  // The monitor's induced component subgraphs are rebuilt once per
+  // skeleton version and carried over otherwise. Each process's
+  // approximation is set to its *fresh* component subgraph, so Lemma 5
+  // (C_p^r subseteq G_p^r) passes iff the monitor's copy is current.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    Rng rng(mix_seed(0x1E443, seed));
+    const ProcId n = static_cast<ProcId>(4 + rng.next_below(6));  // 4..9
+    LemmaChecks checks;
+    checks.observation1 = checks.lemma3 = checks.lemma6 = false;
+    checks.lemma7 = checks.theorem8 = checks.estimates = false;
+    LemmaMonitor monitor(n, checks);
+    std::vector<ProcessSnapshot> snaps(static_cast<std::size_t>(n));
+    Digraph skel = Digraph::complete(n);
+    std::vector<std::uint64_t> versions;  // distinct versions at r >= n
+    for (Round r = 1; r <= 5 * n; ++r) {
+      Digraph g = Digraph::complete(n);
+      const std::vector<Edge> candidates = removable_edges(skel);
+      if (!candidates.empty() && rng.next_below(2) == 0) {
+        const Edge e = candidates[static_cast<std::size_t>(
+            rng.next_below(candidates.size()))];
+        g.remove_edge(e.from, e.to);
+      }
+      skel.intersect_with(g);
+      const SccDecomposition scc = strongly_connected_components(skel);
+      for (ProcId p = 0; p < n; ++p) {
+        const int c = scc.component_of[static_cast<std::size_t>(p)];
+        const Digraph comp =
+            skel.induced(scc.components[static_cast<std::size_t>(c)]);
+        LabeledDigraph approx(n, p);
+        for (ProcId q : comp.nodes()) {
+          approx.add_node(q);
+          for (ProcId v : comp.out_neighbors(q)) approx.set_edge(q, v, r);
+        }
+        snaps[static_cast<std::size_t>(p)].approx = std::move(approx);
+      }
+      monitor.observe_round(r, g, snaps);
+      if (r >= n && (versions.empty() ||
+                     versions.back() != monitor.tracker().version())) {
+        versions.push_back(monitor.tracker().version());
+      }
+    }
+    EXPECT_TRUE(monitor.violations().empty()) << monitor.violations().front();
+    EXPECT_EQ(monitor.analytics_recomputes(),
+              static_cast<std::int64_t>(versions.size()));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// sskel_trace — inspect, seed and replay framed trace captures.
+// sskel_trace — inspect and seed framed trace captures.
 //
 //   sskel_trace dump      --file=F            pretty-print a capture
-//   sskel_trace replay    --file=F [--k=K]    re-run the captured graphs
-//                                             through the Simulator
 //   sskel_trace make-seed --out=DIR           write fuzz-corpus seeds
+//
+// Replaying a capture's graphs is `sskel replay --file=F`.
 //
 // dump is the debugging face of DESIGN.md §14: it decodes with the
 // hardened decoder and prints *where* and *why* a malformed capture
@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "kset/runner.hpp"
-#include "rounds/record.hpp"
 #include "rounds/trace.hpp"
 #include "skeleton/codec.hpp"
 #include "util/cli.hpp"
@@ -27,9 +25,8 @@ using namespace sskel;
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: sskel_trace <dump|replay|make-seed> [flags]\n"
+               "usage: sskel_trace <dump|make-seed> [flags]\n"
                "  dump      --file=FILE\n"
-               "  replay    --file=FILE [--k=K] [--quiet]\n"
                "  make-seed --out=DIR\n");
   std::exit(2);
 }
@@ -123,51 +120,9 @@ int cmd_dump(const CliArgs& args) {
   return 0;
 }
 
-int cmd_replay(const CliArgs& args) {
-  const std::string path = args.get_string("file", "");
-  if (path.empty()) usage();
-  const RunCapture c = load_capture(path);
-  if (c.graphs.empty()) {
-    std::fprintf(stderr, "sskel_trace: capture has no graphs to replay\n");
-    return 1;
-  }
-  ReplaySource replay(c.graphs);
-  KSetRunConfig config;
-  config.k = static_cast<int>(args.get_int("k", 2));
-  const KSetRunReport report = run_kset(replay, config);
-  if (!args.get_bool("quiet", false)) {
-    for (ProcId p = 0; p < report.n; ++p) {
-      const Outcome& o = report.outcomes[static_cast<std::size_t>(p)];
-      std::cout << "  p" << p << ": ";
-      if (o.decided) {
-        std::cout << "decided " << o.decision << " (round "
-                  << o.decision_round << ")\n";
-      } else {
-        std::cout << "UNDECIDED\n";
-      }
-    }
-  }
-  std::cout << "rounds executed: " << report.rounds_executed
-            << ", distinct values: " << report.distinct_values << "\n";
-  std::cout << "k-agreement "
-            << (report.verdict.k_agreement ? "ok" : "VIOLATED") << ", validity "
-            << (report.verdict.validity ? "ok" : "VIOLATED") << ", termination "
-            << (report.verdict.termination ? "ok" : "VIOLATED") << "\n";
-  return report.verdict.all_hold() ? 0 : 1;
-}
-
 int cmd_make_seed(const CliArgs& args) {
   const std::string dir = args.get_string("out", "");
   if (dir.empty()) usage();
-
-  // Run-codec seed: a short three-round capture with node churn.
-  Digraph a(9);
-  a.add_self_loops();
-  a.add_edge(0, 5);
-  a.add_edge(7, 3);
-  Digraph b = a;
-  b.remove_node(8);
-  save_file(dir + "/run_codec.bin", encode_run({a, b, a}));
 
   // Graph-codec seed: labels spanning one- and two-byte varints.
   LabeledDigraph lg(11, 4);
@@ -176,13 +131,16 @@ int cmd_make_seed(const CliArgs& args) {
   lg.set_edge(9, 1, 3);
   save_file(dir + "/graph_codec.bin", encode_graph(lg));
 
-  // Trace seed: every frame type, every delivery kind.
+  // Trace seed: every frame type, every delivery kind, and node churn
+  // (round 2's graph lacks node 4, round 3's has it back).
   RunCapture c;
   c.header = TraceHeader{5, TraceSource::kNetRing, 42, 1000};
   Digraph g(5);
   g.add_self_loops();
   g.add_edge(0, 1);
-  c.graphs = {g};
+  Digraph churned = g;
+  churned.remove_node(4);
+  c.graphs = {g, churned, g};
   c.stats = {RoundStats{1, 7, 140, 20}};
   c.messages.push_back(MessageRecord{1, 0, {0xde, 0xad, 0xbe, 0xef}});
   c.deliveries.push_back(DeliveryRecord{1, 0, 1, DeliveryKind::kOnTime, 900});
@@ -193,7 +151,7 @@ int cmd_make_seed(const CliArgs& args) {
   c.closes.push_back(CloseRecord{1, 0, 1000});
   save_file(dir + "/trace_codec.bin", encode_trace(c));
 
-  std::cout << "wrote run_codec.bin, graph_codec.bin, trace_codec.bin to "
+  std::cout << "wrote graph_codec.bin, trace_codec.bin to "
             << dir << "\n";
   return 0;
 }
@@ -203,9 +161,8 @@ int cmd_make_seed(const CliArgs& args) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
-  const CliArgs args(argc - 1, argv + 1, {"file", "k", "quiet", "out"});
+  const CliArgs args(argc - 1, argv + 1, {"file", "out"});
   if (command == "dump") return cmd_dump(args);
-  if (command == "replay") return cmd_replay(args);
   if (command == "make-seed") return cmd_make_seed(args);
   usage();
 }
