@@ -13,8 +13,8 @@
 //   * checkpoint_stall_pct < 1% of wall time;
 //   * the campaign's folded summary is byte-identical (SSKC trial
 //     fields) to one uninterrupted McTilePlane batch over the same
-//     seeds — streaming, burst sizing and checkpoint copies change
-//     nothing the fold can see;
+//     seeds — streaming and checkpoint copies change nothing the fold
+//     can see;
 //   * a campaign killed mid-run and resumed from its checkpoint
 //     reproduces that same byte-identical summary.
 //
@@ -173,8 +173,6 @@ int main() {
       .set("checkpoint_stall_pct", best_stats.checkpoint_stall_pct)
       .set("checkpoints_written", best_stats.checkpoints_written)
       .set("checkpoint_bytes", best_stats.checkpoint_bytes)
-      .set("burst_grows", best_stats.burst_grows)
-      .set("burst_shrinks", best_stats.burst_shrinks)
       .set("throughput_gate_pass", static_cast<std::int64_t>(throughput_ok))
       .set("stall_gate_pass", static_cast<std::int64_t>(stall_ok))
       .set("summary_match_pass",

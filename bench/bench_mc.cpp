@@ -220,8 +220,7 @@ int main() {
     std::string reference_digest;
 
     Table table("tile sweep (" + std::to_string(trials) + " trials per row)",
-                {"tiles", "trials/s", "placement", "failed pins",
-                 "submit stalls", "result stalls"});
+                {"tiles", "trials/s", "placement", "failed pins"});
     for (unsigned tiles : {1u, 2u, 4u}) {
       McPlaneOptions options;
       options.tiles = tiles;
@@ -240,16 +239,13 @@ int main() {
       table.add_row({cell(static_cast<std::int64_t>(tiles)), cell(rate, 0),
                      summary.tile_placement.empty() ? "-"
                                                     : summary.tile_placement,
-                     cell(summary.failed_pins), cell(plane.submit_stalls()),
-                     cell(plane.result_stalls())});
+                     cell(summary.failed_pins)});
       json.add("tile_sweep")
           .set("tiles", static_cast<std::int64_t>(tiles))
           .set("trials", trials)
           .set("trials_per_sec", rate)
           .set("tile_placement", summary.tile_placement)
-          .set("failed_pins", summary.failed_pins)
-          .set("credit_stall_submit", plane.submit_stalls())
-          .set("credit_stall_result", plane.result_stalls());
+          .set("failed_pins", summary.failed_pins);
     }
     table.print(std::cout);
     std::cout << "summaries bit-identical across tile counts "

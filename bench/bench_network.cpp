@@ -23,11 +23,9 @@
 //     timeliness, batch ring drains). Gates: the ring plane sustains
 //     >= 1M process-rounds/sec, and >= 5x the event-queue baseline on
 //     the multiplexed configuration below.
-//   * multiplexed runs — many independent net-backed runs dispatched
-//     as TileWork over a TilePlane (credit-gated intake/result rings,
-//     tick-paced watermarks), against the same batch run sequentially
-//     on the event-queue plane. This is the fleet shape: one
-//     dispatcher feeding pinned worker tiles.
+//   * multiplexed runs — many independent net-backed runs on the ring
+//     plane, fanned out 2-way through parallel_for, against the same
+//     batch run sequentially on the event-queue plane.
 //
 // Both planes produce bit-identical reports (the tripwire test pins
 // this); the bench asserts the cheap projection of that — equal
@@ -46,7 +44,7 @@
 
 #include "graph/scc.hpp"
 #include "mc/montecarlo.hpp"
-#include "net/tile.hpp"
+#include "mc/parallel_for.hpp"
 #include "predicates/psrcs.hpp"
 #include "util/bench_json.hpp"
 #include "util/stats.hpp"
@@ -93,8 +91,6 @@ struct ThroughputRun {
   std::int64_t delivered = 0;
   std::int64_t late = 0;
   std::int64_t lost = 0;
-  std::int64_t credit_stalls = 0;
-  std::int64_t ring_frags = 0;
   std::int64_t digest = 0;
 };
 
@@ -128,32 +124,11 @@ ThroughputRun run_throughput(NetPlane plane, const LinkMatrix& links,
   run.delivered = driver.delivered_messages();
   run.late = driver.late_messages();
   run.lost = driver.lost_messages();
-  run.credit_stalls = driver.credit_stalls();
-  run.ring_frags = driver.ring_frags();
   for (ProcId p = 0; p < n; ++p) {
     const auto& proc = static_cast<const RelayProcess&>(driver.process(p));
     run.digest = run.digest * 257 + proc.digest();
   }
   return run;
-}
-
-/// Context for the multiplexed TilePlane runs: every work item is one
-/// full net-backed run, keyed by its seed.
-struct MuxContext {
-  const LinkMatrix* links = nullptr;
-  Round rounds = 0;
-};
-
-TileResult run_one_mux_work(void* ctx, unsigned /*tile*/,
-                            const TileWork& work) {
-  const auto& mux = *static_cast<const MuxContext*>(ctx);
-  const ThroughputRun run =
-      run_throughput(NetPlane::kRing, *mux.links, mux.rounds, work.seed);
-  TileResult result;
-  result.id = work.id;
-  result.value = run.digest;
-  result.aux = run.delivered;
-  return result;
 }
 
 }  // namespace
@@ -225,8 +200,7 @@ int main() {
           .set("trials", trials)
           .set("psrcs_holds", psrcs_holds)
           .set("values_max", values_max)
-          .set("mean_late_messages", late.mean())
-          .set("credit_stall_total", summary.credit_stalls);
+          .set("mean_late_messages", late.mean());
     }
     table.print(std::cout);
     std::cout
@@ -256,7 +230,7 @@ int main() {
     Table table("plane compare (n=24, all-timely, " +
                     std::to_string(mux_rounds) + " rounds)",
                 {"plane", "proc-rounds/s", "delivered", "late", "lost",
-                 "credit stalls", "ring frags", "elapsed (ms)"});
+                 "elapsed (ms)"});
     const ThroughputRun eq =
         run_throughput(NetPlane::kEventQueue, mux_links, mux_rounds, 0xE14);
     const ThroughputRun ring =
@@ -271,16 +245,13 @@ int main() {
                              const ThroughputRun& run) {
       table.add_row({name, cell(run.process_rounds_per_sec, 0),
                      cell(run.delivered), cell(run.late), cell(run.lost),
-                     cell(run.credit_stalls), cell(run.ring_frags),
                      cell(run.elapsed_s * 1000.0, 1)});
       json.add("plane_throughput")
           .set("plane", name)
           .set("n", static_cast<std::int64_t>(mux_n))
           .set("rounds", static_cast<std::int64_t>(mux_rounds))
           .set("process_rounds_per_sec", run.process_rounds_per_sec)
-          .set("delivered_messages", run.delivered)
-          .set("credit_stall_total", run.credit_stalls)
-          .set("ring_frags", run.ring_frags);
+          .set("delivered_messages", run.delivered);
     };
     add_row("event-queue", eq);
     add_row("ring", ring);
@@ -310,41 +281,36 @@ int main() {
     const std::size_t runs = smoke ? 4 : 12;
     const Round per_run_rounds = smoke ? 150 : 500;
 
-    MuxContext ctx;
-    ctx.links = &mux_links;
-    ctx.rounds = per_run_rounds;
-
-    std::vector<TileWork> work;
-    work.reserve(runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      work.push_back(TileWork{i, 0x5EED0000 + i, 0});
-    }
+    const auto seed_of = [](std::size_t i) {
+      return std::uint64_t{0x5EED0000} + i;
+    };
 
     // Baseline: the same batch run sequentially on the event-queue
     // plane (the pre-refactor shape: one dispatcher, one plane, one
     // heap event per delivery).
     const Clock::time_point base_start = Clock::now();
     std::int64_t base_digest = 0;
-    for (const TileWork& w : work) {
+    for (std::size_t i = 0; i < runs; ++i) {
       const ThroughputRun run = run_throughput(NetPlane::kEventQueue,
                                                mux_links, per_run_rounds,
-                                               w.seed);
+                                               seed_of(i));
       base_digest = base_digest * 269 + run.digest;
     }
     const double base_s = seconds_since(base_start);
 
-    TilePlane plane(tiles, &run_one_mux_work, &ctx);
-    std::vector<TileResult> results;
-    const Clock::time_point mux_start = Clock::now();
-    plane.run_all(work, results);
-    const double mux_s = seconds_since(mux_start);
-    SSKEL_ASSERT(results.size() == runs);
-
-    // Completion order varies; the digest fold is keyed by run id.
+    // Digests land by run index, so the fold below is order-free.
     std::vector<std::int64_t> by_id(runs, 0);
-    for (const TileResult& r : results) {
-      by_id[static_cast<std::size_t>(r.id)] = r.value;
-    }
+    const Clock::time_point mux_start = Clock::now();
+    parallel_for(
+        runs,
+        [&](std::size_t i) {
+          by_id[i] = run_throughput(NetPlane::kRing, mux_links,
+                                    per_run_rounds, seed_of(i))
+                         .digest;
+        },
+        tiles);
+    const double mux_s = seconds_since(mux_start);
+
     std::int64_t mux_digest = 0;
     for (std::int64_t d : by_id) mux_digest = mux_digest * 269 + d;
     SSKEL_ASSERT(mux_digest == base_digest);
@@ -361,15 +327,12 @@ int main() {
 
     Table table("multiplexed runs (" + std::to_string(runs) + " runs x " +
                     std::to_string(per_run_rounds) + " rounds, " +
-                    std::to_string(tiles) + " tiles)",
-                {"config", "proc-rounds/s", "elapsed (ms)", "submit stalls",
-                 "result stalls", "tile frags"});
+                    std::to_string(tiles) + "-way)",
+                {"config", "proc-rounds/s", "elapsed (ms)"});
     table.add_row({"event-queue sequential", cell(base_rate, 0),
-                   cell(base_s * 1000.0, 1), "-", "-", "-"});
-    table.add_row({"ring + tile plane", cell(mux_rate, 0),
-                   cell(mux_s * 1000.0, 1), cell(plane.submit_stalls()),
-                   cell(plane.result_stalls()),
-                   cell(plane.frags_processed())});
+                   cell(base_s * 1000.0, 1)});
+    table.add_row({"ring, parallel_for", cell(mux_rate, 0),
+                   cell(mux_s * 1000.0, 1)});
     table.print(std::cout);
     std::cout << "multiplexed speedup: " << mux_speedup
               << "x (gate >= 5x: " << (mux_ok ? "PASS" : "FAIL") << ")\n\n";
@@ -381,9 +344,6 @@ int main() {
         .set("process_rounds_per_sec", mux_rate)
         .set("baseline_process_rounds_per_sec", base_rate)
         .set("speedup_vs_event_queue", mux_speedup)
-        .set("credit_stall_submit", plane.submit_stalls())
-        .set("credit_stall_result", plane.result_stalls())
-        .set("tile_frags", plane.frags_processed())
         .set("speedup_gate_pass", static_cast<std::int64_t>(mux_ok));
   }
 

@@ -60,7 +60,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   config.net.plane =
       input.boolean() ? NetPlane::kRing : NetPlane::kEventQueue;
-  config.net.ring_depth = input.in_range(0, 3);
 
   NetRoundDriver<SkeletonMessage> driver(
       config.net, links, make_kset_processes(n, config.run));

@@ -1,12 +1,10 @@
 // Fuzz target: the two message planes of NetRoundDriver, differentially.
 //
-// The fuzz input picks a small universe, skews, link matrix (timely /
-// flaky / lossy mix, deadline-tie delays included) and ring depth; the
-// same k-set run then executes on the ring plane and the event-queue
-// plane. Reports must be bit-equal (DESIGN.md §12) and the full
-// captures — broadcasts, delivery fates, closes — identical. Tiny ring
-// depths are part of the search space deliberately: backpressure and
-// frag reassembly must not change observable behaviour.
+// The fuzz input picks a small universe, skews and link matrix (timely
+// / flaky / lossy mix, deadline-tie delays included); the same k-set
+// run then executes on the ring plane and the event-queue plane.
+// Reports must be bit-equal (DESIGN.md §12) and the full captures —
+// broadcasts, delivery fates, closes — identical.
 #include <cstdint>
 #include <vector>
 
@@ -31,9 +29,8 @@ struct PlaneRun {
 };
 
 PlaneRun run_plane(const LinkMatrix& links, NetKSetConfig config,
-                   NetPlane plane, std::size_t ring_depth) {
+                   NetPlane plane) {
   config.net.plane = plane;
-  config.net.ring_depth = ring_depth;
   const ProcId n = links.n();
   NetRoundDriver<SkeletonMessage> driver(
       config.net, links, make_kset_processes(n, config.run));
@@ -93,10 +90,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               0, static_cast<std::uint32_t>(duration - lo)));
   links.upgrade_to_timely(stable, lo, hi);
 
-  const std::size_t ring_depth = input.in_range(0, 3);
-  const PlaneRun ring =
-      run_plane(links, config, NetPlane::kRing, ring_depth);
-  const PlaneRun eq = run_plane(links, config, NetPlane::kEventQueue, 0);
+  const PlaneRun ring = run_plane(links, config, NetPlane::kRing);
+  const PlaneRun eq = run_plane(links, config, NetPlane::kEventQueue);
 
   SSKEL_REQUIRE(ring.report.outcomes.size() == eq.report.outcomes.size());
   for (std::size_t p = 0; p < ring.report.outcomes.size(); ++p) {

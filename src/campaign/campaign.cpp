@@ -279,40 +279,22 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
           }
         };
 
-    // Adaptive burst: submit up to `burst` trials per iteration via
-    // the non-blocking offer; a refusal (window full or no intake
-    // credit) halves the burst, a fully accepted burst doubles it up
-    // to the window. Ring occupancy is the signal — no timers.
+    // Offer until the window refuses, then collect: the window is the
+    // only backpressure, and a refusal simply means every slot is in
+    // flight.
     auto next = static_cast<std::uint64_t>(job_state.trials_folded);
     const auto total = static_cast<std::uint64_t>(job.trials);
-    std::int64_t burst =
-        std::min<std::int64_t>(32, static_cast<std::int64_t>(options_.window));
     while (!stopped && job_state.trials_folded < job.trials) {
-      std::int64_t submitted = 0;
-      bool refused = false;
-      while (submitted < burst && next < total) {
-        if (!plane.stream_offer(next, mix_seed(job.master_seed, next))) {
-          refused = true;
-          break;
-        }
+      bool offered = false;
+      while (next < total &&
+             plane.stream_offer(next, mix_seed(job.master_seed, next))) {
         ++next;
-        ++submitted;
+        offered = true;
       }
-      if (refused) {
-        if (burst > 1) {
-          burst /= 2;
-          ++stats.burst_shrinks;
-        }
-      } else if (submitted == burst &&
-                 burst < static_cast<std::int64_t>(options_.window)) {
-        burst = std::min<std::int64_t>(
-            burst * 2, static_cast<std::int64_t>(options_.window));
-        ++stats.burst_grows;
-      }
-      // Nothing collected and nothing submitted (ring full, or every
-      // trial is already in flight): only in-flight completions can
-      // make progress, so don't busy-spin the dispatcher core.
-      if (plane.stream_collect(sink) == 0 && submitted == 0) {
+      // Nothing collected and nothing offered (every trial of the
+      // window is in flight): only tile completions can make
+      // progress, so don't busy-spin the dispatcher core.
+      if (plane.stream_collect(sink) == 0 && !offered) {
         std::this_thread::yield();
       }
     }

@@ -3,10 +3,10 @@
 //
 // A *campaign* is a sweep: a list of jobs, each (scenario, master
 // seed, trial count), folded under one run config. Where the batch
-// API (McTilePlane::run) pays its ramp — window allocation, ring
-// warm-up, intern re-analysis — once per call, the campaign engine
-// keeps one McTilePlane hot per distinct scenario and streams every
-// job's trials through the plane's submit rings from a persistent
+// API (McTilePlane::run) pays its ramp — window allocation, intern
+// re-analysis — once per call, the campaign engine keeps one
+// McTilePlane hot per distinct scenario and streams every job's
+// trials through the plane's in-flight window from a persistent
 // cursor, so sustained trials/sec over a long sweep matches
 // back-to-back batches (bench_campaign gates ≥ 0.95x with
 // checkpointing on).
@@ -86,7 +86,8 @@ struct CampaignProgress {
 
 struct CampaignOptions {
   McPlaneOptions plane;
-  /// In-flight trial window per plane (also the adaptive burst cap).
+  /// In-flight trial window per plane: the dispatcher offers until
+  /// the window is full, then collects.
   std::size_t window = 256;
   /// Checkpoint every N folded trials (per job); <= 0 disables the
   /// cadence (a final checkpoint is still written on stop).
@@ -132,15 +133,13 @@ struct CampaignStats {
   /// handoff; the write itself is off-thread).
   double checkpoint_stall_seconds = 0.0;
   double checkpoint_stall_pct = 0.0;
+  /// Offers the full window refused (McTilePlane::submit_stalls).
   std::int64_t submit_stalls = 0;
+  /// Always 0 (McTilePlane::result_stalls); kept for bench harnesses.
   std::int64_t result_stalls = 0;
   std::int64_t artifacts_captured = 0;
   std::int64_t outliers_detected = 0;
   std::int64_t violations_detected = 0;
-  /// Adaptive burst resizing events (occupancy signal: a refused
-  /// offer halves the burst, a fully accepted one grows it).
-  std::int64_t burst_shrinks = 0;
-  std::int64_t burst_grows = 0;
 };
 
 struct CampaignResult {

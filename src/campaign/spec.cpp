@@ -1,13 +1,16 @@
 #include "campaign/spec.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "adversary/crash.hpp"
 #include "adversary/rotating.hpp"
+#include "util/cli.hpp"
 
 namespace sskel {
 
@@ -27,6 +30,16 @@ namespace {
   return s.substr(begin, end - begin);
 }
 
+/// Inclusive value range of the integer type an attribute lands in.
+struct IntRange {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+template <typename T>
+constexpr IntRange kRangeOf{std::numeric_limits<T>::min(),
+                            std::numeric_limits<T>::max()};
+
 /// key=value attributes of a `job =` line, after the scenario word.
 class Attrs {
  public:
@@ -44,20 +57,26 @@ class Attrs {
     return true;
   }
 
+  /// `range` is the destination type's: semantic bounds are the
+  /// caller's to check, after the value is known to fit.
   [[nodiscard]] bool get_int(const std::string& key, std::int64_t fallback,
-                             std::int64_t& out, std::string& error) {
+                             IntRange range, std::int64_t& out,
+                             std::string& error) {
     auto it = values_.find(key);
     if (it == values_.end()) {
       out = fallback;
       return true;
     }
     consumed_.insert(it->first);
-    char* end = nullptr;
-    out = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      error = "attribute '" + key + "' is not an integer: " + it->second;
+    const std::optional<std::int64_t> value =
+        parse_int_in(it->second, range.lo, range.hi);
+    if (!value.has_value()) {
+      error = "attribute '" + key + "' is not an integer in [" +
+              std::to_string(range.lo) + ", " + std::to_string(range.hi) +
+              "]: " + it->second;
       return false;
     }
+    out = *value;
     return true;
   }
 
@@ -70,16 +89,21 @@ class Attrs {
     }
     consumed_.insert(it->first);
     char* end = nullptr;
+    errno = 0;
     out = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      error = "attribute '" + key + "' is not an integer: " + it->second;
+    // strtoull accepts and negates a leading '-'; a seed never has one.
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE ||
+        it->second.find('-') != std::string::npos) {
+      error = "attribute '" + key + "' is not an unsigned 64-bit integer: " +
+              it->second;
       return false;
     }
     return true;
   }
 
-  [[nodiscard]] bool get_double(const std::string& key, double fallback,
-                                double& out, std::string& error) {
+  [[nodiscard]] bool get_probability(const std::string& key,
+                                     double fallback, double& out,
+                                     std::string& error) {
     auto it = values_.find(key);
     if (it == values_.end()) {
       out = fallback;
@@ -88,8 +112,11 @@ class Attrs {
     consumed_.insert(it->first);
     char* end = nullptr;
     out = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      error = "attribute '" + key + "' is not a number: " + it->second;
+    // The negated test also rejects NaN.
+    if (end == it->second.c_str() || *end != '\0' ||
+        !(out >= 0.0 && out <= 1.0)) {
+      error = "attribute '" + key + "' is not a probability in [0, 1]: " +
+              it->second;
       return false;
     }
     return true;
@@ -119,17 +146,6 @@ class Attrs {
   std::set<std::string> consumed_;
 };
 
-/// strtoll-with-endptr validation for top-level config values — the
-/// same fail-fast contract job attributes get via Attrs (atoi/atoll
-/// would fold garbage or trailing junk into a silent 0).
-[[nodiscard]] bool parse_int_value(const std::string& value,
-                                   std::int64_t& out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoll(value.c_str(), &end, 10);
-  return end != value.c_str() && *end == '\0';
-}
-
 [[nodiscard]] bool parse_bool_value(const std::string& value, bool& out) {
   if (value == "1" || value == "true") {
     out = true;
@@ -158,7 +174,7 @@ class Attrs {
 
   std::int64_t trials = 0;
   std::uint64_t seed = 0;
-  if (!attrs.get_int("trials", 0, trials, error) ||
+  if (!attrs.get_int("trials", 0, kRangeOf<std::int64_t>, trials, error) ||
       !attrs.get_uint("seed", 0, seed, error)) {
     return false;
   }
@@ -175,9 +191,10 @@ class Attrs {
     std::int64_t m = 0;
     double noise = 0.0;
     std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 4, n, error) || !attrs.get_int("m", 2, m, error) ||
-        !attrs.get_double("noise", 0.0, noise, error) ||
-        !attrs.get_int("stabilize", 1, stabilize, error)) {
+    if (!attrs.get_int("n", 4, kRangeOf<ProcId>, n, error) ||
+        !attrs.get_int("m", 2, kRangeOf<int>, m, error) ||
+        !attrs.get_probability("noise", 0.0, noise, error) ||
+        !attrs.get_int("stabilize", 1, kRangeOf<Round>, stabilize, error)) {
       return false;
     }
     if (n < 1 || m < 1 || m > n || stabilize < 1) {
@@ -196,16 +213,18 @@ class Attrs {
     std::int64_t maxcore = 0;
     double noise = 0.0;
     std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 8, n, error) || !attrs.get_int("k", 2, k, error) ||
-        !attrs.get_int("roots", 2, roots, error) ||
-        !attrs.get_int("maxcore", 3, maxcore, error) ||
-        !attrs.get_double("noise", 0.25, noise, error) ||
-        !attrs.get_int("stabilize", 1, stabilize, error)) {
+    if (!attrs.get_int("n", 8, kRangeOf<ProcId>, n, error) ||
+        !attrs.get_int("k", 2, kRangeOf<int>, k, error) ||
+        !attrs.get_int("roots", 2, kRangeOf<int>, roots, error) ||
+        !attrs.get_int("maxcore", 3, kRangeOf<int>, maxcore, error) ||
+        !attrs.get_probability("noise", 0.25, noise, error) ||
+        !attrs.get_int("stabilize", 1, kRangeOf<Round>, stabilize, error)) {
       return false;
     }
-    if (n < 1 || k < 1 || roots < 1 || roots > k || maxcore < 1 ||
-        stabilize < 1) {
-      error = "random-psrcs needs n,k,maxcore >= 1 and 1 <= roots <= k";
+    if (n < 1 || k < 1 || roots < 1 || roots > k || roots > n ||
+        maxcore < 1 || stabilize < 1) {
+      error =
+          "random-psrcs needs n,k,maxcore >= 1 and 1 <= roots <= min(k, n)";
       return false;
     }
     RandomPsrcsParams params;
@@ -220,9 +239,9 @@ class Attrs {
     std::int64_t n = 0;
     std::int64_t crashes = 0;
     std::int64_t maxcrash = 0;
-    if (!attrs.get_int("n", 5, n, error) ||
-        !attrs.get_int("crashes", 1, crashes, error) ||
-        !attrs.get_int("maxcrash", 3, maxcrash, error)) {
+    if (!attrs.get_int("n", 5, kRangeOf<ProcId>, n, error) ||
+        !attrs.get_int("crashes", 1, kRangeOf<int>, crashes, error) ||
+        !attrs.get_int("maxcrash", 3, kRangeOf<Round>, maxcrash, error)) {
       return false;
     }
     if (n < 1 || crashes < 0 || crashes >= n || maxcrash < 1) {
@@ -235,8 +254,8 @@ class Attrs {
   } else if (kind == "rotating") {
     std::int64_t n = 0;
     std::int64_t hold = 0;
-    if (!attrs.get_int("n", 4, n, error) ||
-        !attrs.get_int("hold", 1, hold, error)) {
+    if (!attrs.get_int("n", 4, kRangeOf<ProcId>, n, error) ||
+        !attrs.get_int("hold", 1, kRangeOf<Round>, hold, error)) {
       return false;
     }
     if (n < 1 || hold < 1) {
@@ -287,13 +306,15 @@ SpecParseResult parse_campaign_spec(const std::string& text) {
       }
       spec.jobs.push_back(std::move(job));
     } else if (key == "k") {
-      std::int64_t k = 0;
-      if (!parse_int_value(value, k) || k < 1) {
-        result.error = "k must be an integer >= 1";
+      const std::optional<std::int64_t> k =
+          parse_int_in(value, 1, kRangeOf<int>.hi);
+      if (!k.has_value()) {
+        result.error = "k must be an integer in [1, " +
+                       std::to_string(kRangeOf<int>.hi) + "]";
         result.line = line_no;
         return result;
       }
-      spec.config.k = static_cast<int>(k);
+      spec.config.k = static_cast<int>(*k);
     } else if (key == "guard") {
       if (value == "after-round-n") {
         spec.config.guard = DecisionGuard::kAfterRoundN;
@@ -305,21 +326,26 @@ SpecParseResult parse_campaign_spec(const std::string& text) {
         return result;
       }
     } else if (key == "max_rounds") {
-      std::int64_t rounds = 0;
-      if (!parse_int_value(value, rounds) || rounds < 0) {
-        result.error = "max_rounds must be an integer >= 0 (0 = automatic)";
+      const std::optional<std::int64_t> rounds =
+          parse_int_in(value, 0, kRangeOf<Round>.hi);
+      if (!rounds.has_value()) {
+        result.error = "max_rounds must be an integer in [0, " +
+                       std::to_string(kRangeOf<Round>.hi) +
+                       "] (0 = automatic)";
         result.line = line_no;
         return result;
       }
-      spec.config.max_rounds = static_cast<Round>(rounds);
+      spec.config.max_rounds = static_cast<Round>(*rounds);
     } else if (key == "tail_rounds") {
-      std::int64_t rounds = 0;
-      if (!parse_int_value(value, rounds) || rounds < 0) {
-        result.error = "tail_rounds must be an integer >= 0";
+      const std::optional<std::int64_t> rounds =
+          parse_int_in(value, 0, kRangeOf<Round>.hi);
+      if (!rounds.has_value()) {
+        result.error = "tail_rounds must be an integer in [0, " +
+                       std::to_string(kRangeOf<Round>.hi) + "]";
         result.line = line_no;
         return result;
       }
-      spec.config.tail_rounds = static_cast<Round>(rounds);
+      spec.config.tail_rounds = static_cast<Round>(*rounds);
     } else if (key == "measure_bytes") {
       if (!parse_bool_value(value, spec.config.measure_bytes)) {
         result.error = "measure_bytes must be 0/1/true/false";

@@ -1,5 +1,9 @@
 #include "campaign/writer.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <fstream>
 #include <utility>
 
@@ -104,16 +108,26 @@ void CheckpointWriter::write_one(const CampaignCheckpoint& snapshot) {
   const std::filesystem::path target =
       state_dir_ / (next_file_ == 0 ? kFileA : kFileB);
   const std::filesystem::path tmp = state_dir_ / "ckpt.tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SSKEL_REQUIRE(out.good());
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    SSKEL_REQUIRE(out.good());
+  // The data must be on disk before the rename that publishes it, and
+  // the rename before the next checkpoint recycles the other file.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  SSKEL_REQUIRE(fd >= 0);
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    SSKEL_REQUIRE(n > 0);
+    done += static_cast<std::size_t>(n);
   }
+  SSKEL_REQUIRE(::fsync(fd) == 0);
+  SSKEL_REQUIRE(::close(fd) == 0);
   std::error_code ec;
   std::filesystem::rename(tmp, target, ec);
   SSKEL_REQUIRE(!ec);
+  const int dir = ::open(state_dir_.c_str(), O_RDONLY | O_DIRECTORY);
+  SSKEL_REQUIRE(dir >= 0);
+  SSKEL_REQUIRE(::fsync(dir) == 0);
+  SSKEL_REQUIRE(::close(dir) == 0);
   next_file_ ^= 1;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -9,9 +9,10 @@
 // so only the freshest matters.
 //
 // Durability is torn-write-proof twice over:
-//   * each write goes to a temp file, fsync-free but atomically
-//     renamed into place — a crash mid-write leaves the target
-//     untouched;
+//   * each write goes to a temp file that is fsync'd, atomically
+//     renamed into place, and made durable by an fsync of the
+//     directory — a crash or power loss mid-write leaves the target
+//     untouched, and a rename can never reach disk before its data;
 //   * writes alternate between two targets (ckpt.a.sskc /
 //     ckpt.b.sskc), so even a corrupted rename leaves the previous
 //     generation intact. load_latest decodes both and returns the one

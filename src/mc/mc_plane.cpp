@@ -7,52 +7,97 @@
 #include "util/rng.hpp"
 #include "util/topology.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace sskel {
 
 namespace {
 
-TilePlaneOptions to_tile_options(const McPlaneOptions& options) {
-  TilePlaneOptions tile_options;
-  tile_options.ring_depth = options.ring_depth;
-  tile_options.lazy = options.lazy;
-  tile_options.pin_threads = options.pin_tiles;
-  tile_options.cpu_placement = options.cpu_placement;
-  return tile_options;
+void pin_current_thread(int cpu, std::atomic<unsigned>& failures) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(static_cast<unsigned>(cpu), &set);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+    failures.fetch_add(1, std::memory_order_relaxed);
+  }
+#else
+  (void)cpu;
+  failures.fetch_add(1, std::memory_order_relaxed);
+#endif
+}
+
+std::vector<int> resolve_placement(const McPlaneOptions& options,
+                                   unsigned tiles) {
+  if (!options.pin_tiles) return {};
+  std::vector<int> plan;
+  if (!options.cpu_placement.empty()) {
+    plan.reserve(tiles);
+    for (unsigned i = 0; i < tiles; ++i) {
+      plan.push_back(options.cpu_placement[i % options.cpu_placement.size()]);
+    }
+    return plan;
+  }
+  plan = plan_tile_cpus(probe_cpu_topology(), tiles);
+  if (plan.empty()) {  // degenerate probe: fall back to identity
+    for (unsigned i = 0; i < tiles; ++i) plan.push_back(static_cast<int>(i));
+  }
+  return plan;
 }
 
 }  // namespace
 
 McTilePlane::McTilePlane(const ScenarioFactory& scenario,
                          McPlaneOptions options)
-    : scenario_(&scenario),
-      scratch_(resolve_tile_count(options.tiles)),
-      // scratch_.size() rather than resolving again: SSKEL_THREADS is
-      // re-read per resolve and must bind exactly once per plane.
-      plane_(static_cast<unsigned>(scratch_.size()), &McTilePlane::work_fn,
-             this, to_tile_options(options)) {
+    : scenario_(&scenario), scratch_(resolve_tile_count(options.tiles)) {
+  // scratch_.size() rather than resolving again: SSKEL_THREADS is
+  // re-read per resolve and must bind exactly once per plane.
+  const auto tiles = static_cast<unsigned>(scratch_.size());
+  placement_ = resolve_placement(options, tiles);
   for (auto& slot : scratch_) slot = scenario.make_scratch();
+  workers_.reserve(tiles);
+  for (unsigned tile = 0; tile < tiles; ++tile) {
+    workers_.emplace_back([this, tile](const std::stop_token& stop) {
+      tile_main(tile, stop);
+    });
+  }
 }
 
 McTilePlane::~McTilePlane() = default;
 
-TileResult McTilePlane::work_fn(void* ctx, unsigned tile,
-                                const TileWork& work) {
-  auto* self = static_cast<McTilePlane*>(ctx);
-  const std::size_t slot =
-      static_cast<std::size_t>(work.id) % self->batch_.results->size();
-  // Exclusive write: the in-flight window bound means no other live
-  // trial maps to this slot. The result-ring publish (release) orders
-  // it before the dispatcher's drain (acquire) of the completion token
-  // below.
+void McTilePlane::tile_main(unsigned tile, const std::stop_token& stop) {
+  if (tile < placement_.size()) {
+    pin_current_thread(placement_[tile], pin_failures_);
+  }
+  while (!stop.stop_requested()) {
+    std::uint64_t ticket = claimed_.load(std::memory_order_relaxed);
+    // Acquire pairs with stream_offer's release: every seed (and the
+    // stream state) behind a ticket below `offered` is visible here.
+    if (ticket >= offered_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (claimed_.compare_exchange_weak(ticket, ticket + 1,
+                                       std::memory_order_relaxed)) {
+      run_claimed(tile, ticket);
+    }
+  }
+}
+
+void McTilePlane::run_claimed(unsigned tile, std::uint64_t ticket) {
+  // Exclusive access: the window bound means no other live trial maps
+  // to this slot, and the dispatcher does not touch it until `done`.
+  Slot& slot = slot_for(stream_first_ + (ticket - stream_ticket_));
   const auto start = std::chrono::steady_clock::now();
-  (*self->batch_.results)[slot] = self->scenario_->run_trial(
-      work.seed, *self->batch_.config, self->scratch_[tile].get());
+  slot.trial = scenario_->run_trial(slot.seed, stream_config_,
+                                    scratch_[tile].get());
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  TileResult token;
-  token.id = work.id;
-  token.value =
+  slot.elapsed_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return token;
+  slot.done.store(true, std::memory_order_release);
 }
 
 void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
@@ -66,51 +111,43 @@ void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
   stream_config_ = config;
   if (stream_config_.intern == nullptr) stream_config_.intern = &intern_;
 
-  results_.assign(window, ScenarioTrial{});
-  done_.assign(window, 0);
-  elapsed_ns_.assign(window, 0);
-  batch_.config = &stream_config_;
-  batch_.results = &results_;
+  // Safe to rewrite: the previous stream was fully collected, so no
+  // tile holds a claim, and tiles read this state only after claiming.
+  slots_ = std::vector<Slot>(window);
+  stream_first_ = first_index;
+  stream_ticket_ = offered_.load(std::memory_order_relaxed);
   next_offer_ = first_index;
   next_collect_ = first_index;
-  tokens_.clear();
   streaming_ = true;
 }
 
 bool McTilePlane::stream_offer(std::uint64_t index, std::uint64_t seed) {
   SSKEL_REQUIRE(streaming_);
   SSKEL_REQUIRE(index == next_offer_);
-  if (next_offer_ - next_collect_ >= results_.size()) return false;
-  TileWork work;
-  work.id = index;
-  work.seed = seed;
-  if (!plane_.try_submit(work)) return false;
+  if (next_offer_ - next_collect_ >= slots_.size()) {
+    ++submit_stalls_;
+    return false;
+  }
+  slot_for(index).seed = seed;
   ++next_offer_;
+  // Sole writer: publish the seed (release) to the claiming tile.
+  offered_.store(offered_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
   return true;
 }
 
 std::size_t McTilePlane::stream_collect(const StreamSink& sink) {
   SSKEL_REQUIRE(streaming_);
-  plane_.drain(tokens_);
-  for (const TileResult& token : tokens_) {
-    const std::size_t slot =
-        static_cast<std::size_t>(token.id) % results_.size();
-    SSKEL_ASSERT(done_[slot] == 0);
-    done_[slot] = 1;
-    elapsed_ns_[slot] = token.value;
-  }
-  tokens_.clear();
   std::size_t delivered = 0;
-  while (next_collect_ < next_offer_ &&
-         done_[static_cast<std::size_t>(next_collect_) % results_.size()] !=
-             0) {
-    const std::size_t slot =
-        static_cast<std::size_t>(next_collect_) % results_.size();
-    if (sink) sink(next_collect_, results_[slot], elapsed_ns_[slot]);
-    done_[slot] = 0;
+  while (next_collect_ < next_offer_) {
+    Slot& slot = slot_for(next_collect_);
+    if (!slot.done.load(std::memory_order_acquire)) break;
+    if (sink) sink(next_collect_, slot.trial, slot.elapsed_ns);
+    slot.done.store(false, std::memory_order_relaxed);
     ++next_collect_;
     ++delivered;
   }
+  trials_executed_ += static_cast<std::int64_t>(delivered);
   return delivered;
 }
 
@@ -141,9 +178,9 @@ void McTilePlane::export_service_fields(McSummary& summary) const {
   summary.arena_proc_set_bytes = ProcSet::arena_bytes();
   summary.arena_reuses = ProcSet::arena_reuses();
   summary.scheduler = "tile-plane";
-  summary.tiles = static_cast<std::int64_t>(plane_.tiles());
-  summary.tile_placement = cpu_list_to_string(plane_.placement());
-  summary.failed_pins = static_cast<std::int64_t>(plane_.failed_pins());
+  summary.tiles = static_cast<std::int64_t>(tiles());
+  summary.tile_placement = cpu_list_to_string(placement_);
+  summary.failed_pins = static_cast<std::int64_t>(failed_pins());
 }
 
 McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
@@ -156,10 +193,9 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
   McSummary summary;
   summary.bytes_measured = config.measure_bytes;
 
-  // A batch is a stream whose window covers every trial: submission is
-  // then limited only by ring credit, and the fold happens on the
-  // dispatcher as completions arrive — in trial order, exactly like
-  // the batch-end fold this replaced.
+  // A batch is a stream whose window covers every trial: every offer
+  // succeeds, and the fold happens on the dispatcher as completions
+  // arrive — in trial order, exactly like a batch-end fold.
   stream_begin(config, std::max<std::size_t>(static_cast<std::size_t>(trials),
                                              std::size_t{1}));
   const StreamSink sink = [&](std::uint64_t t, const ScenarioTrial& trial,

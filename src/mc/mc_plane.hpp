@@ -9,11 +9,14 @@
 // dominate at small n.
 //
 // McTilePlane is the same trial loop rebuilt as a persistent
-// *service* over the PR 7 tile/ring transport:
+// *service* over a fixed set of worker tiles:
 //
-//   * trial batches flow through the TilePlane's credit-gated
-//     submit/result FragRings as TileWork{trial, seed} and come back
-//     RingMux-merged, exactly like the multiplexed net runs;
+//   * each tile is one persistent std::jthread; trials are claimed off
+//     one atomic cursor — the dispatcher release-stores an `offered`
+//     count after writing trial i's seed into slot i % window, and a
+//     tile claims the next index with a CAS on `claimed` while
+//     claimed < offered. The in-flight window is the only
+//     backpressure (DESIGN.md §13);
 //   * each tile owns persistent worker state — its InternDomain shard
 //     (tile threads live across batches, so InternDomain::local() is
 //     stable per tile), its ProcSet word arena, and one reusable
@@ -25,22 +28,22 @@
 //     effective placement + failed pin count surface in McSummary.
 //
 // Determinism: trial t always uses seed mix_seed(master, t), results
-// land in a trial-indexed buffer (the result ring carries completion
-// tokens, not payloads — the ring's release/acquire ordering makes
-// the buffer write visible to the dispatcher), and the fold is the
-// shared fold_scenario_trials — so McSummary's trial-derived fields
-// are bit-identical across tile counts and vs the pool scheduler,
-// which stays callable as the reference.
+// land in a trial-indexed window slot whose done flag the tile
+// release-stores and the dispatcher acquire-loads in index order, and
+// the fold is the shared fold_scenario_trial — so McSummary's
+// trial-derived fields are bit-identical across tile counts and vs
+// the pool scheduler, which stays callable as the reference.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "mc/montecarlo.hpp"
 #include "mc/scenario.hpp"
-#include "net/tile.hpp"
 #include "skeleton/intern.hpp"
 
 namespace sskel {
@@ -50,15 +53,15 @@ struct McPlaneOptions {
   /// concurrency; explicit values are still capped by SSKEL_THREADS
   /// (resolve_tile_count — the single concurrency knob).
   unsigned tiles = 0;
-  /// Intake/result ring depth (tiny values exercise backpressure).
-  std::size_t ring_depth = 64;
-  /// Watermark-publication cadence (TilePlaneOptions::lazy).
-  std::int64_t lazy = 8;
   /// Pin tiles physical-core-first from the probed topology (or
   /// `cpu_placement` when set). Off by default: single-core CI hosts
-  /// gain nothing and lose scheduling freedom.
+  /// gain nothing and lose scheduling freedom. A failed pin is
+  /// counted (failed_pins), never fatal — CI runners often forbid
+  /// affinity changes.
   bool pin_tiles = false;
-  /// Explicit CPU per tile (cycled); empty = derive from topology.
+  /// Explicit CPU per tile (cycled when shorter than the tile count);
+  /// empty = derive from probe_cpu_topology(). Ignored unless
+  /// pin_tiles is set.
   std::vector<int> cpu_placement;
 };
 
@@ -91,8 +94,8 @@ class McTilePlane {
   // -------------------------------------------------------------------
   // Streaming feed (DESIGN.md §15). run() is itself built on this: a
   // batch is just a stream whose window spans every trial. The campaign
-  // engine drives the stream directly so trials flow into the submit
-  // rings from a persistent cursor — the plane never tears down between
+  // engine drives the stream directly so trials flow to the tiles
+  // from a persistent cursor — the plane never tears down between
   // batches, and the dispatcher folds the contiguous completed prefix
   // in trial order, which is what makes checkpoint/resume bit-exact
   // (the folded prefix *is* the state).
@@ -116,7 +119,7 @@ class McTilePlane {
 
   /// Offers trial `index` (must be the next sequential index) with its
   /// seed. Non-blocking: returns false — and consumes nothing — when
-  /// the in-flight window is full or no tile intake has credit; the
+  /// the in-flight window is full (counted in submit_stalls); the
   /// caller should collect and retry. Never spins.
   [[nodiscard]] bool stream_offer(std::uint64_t index, std::uint64_t seed);
 
@@ -147,33 +150,48 @@ class McTilePlane {
   /// summary the same way.
   void export_service_fields(McSummary& summary) const;
 
-  [[nodiscard]] unsigned tiles() const { return plane_.tiles(); }
-  [[nodiscard]] unsigned failed_pins() const { return plane_.failed_pins(); }
+  [[nodiscard]] unsigned tiles() const {
+    return static_cast<unsigned>(scratch_.size());
+  }
+  /// Tiles whose CPU pin attempt failed (0 when pinning is off).
+  [[nodiscard]] unsigned failed_pins() const {
+    return pin_failures_.load(std::memory_order_relaxed);
+  }
+  /// Planned CPU id per tile when pinning is on (empty otherwise).
+  /// Entries are the *intended* placement; failed_pins() says how many
+  /// of them the OS refused.
   [[nodiscard]] const std::vector<int>& placement() const {
-    return plane_.placement();
+    return placement_;
   }
-  [[nodiscard]] std::int64_t submit_stalls() const {
-    return plane_.submit_stalls();
-  }
-  [[nodiscard]] std::int64_t result_stalls() const {
-    return plane_.result_stalls();
-  }
-  /// Trials executed by this service since construction.
+  /// Offers refused because the in-flight window was full.
+  [[nodiscard]] std::int64_t submit_stalls() const { return submit_stalls_; }
+  /// Always 0: results land in the window, so tiles never wait on the
+  /// dispatcher. Kept for callers that still report it.
+  [[nodiscard]] std::int64_t result_stalls() const { return 0; }
+  /// Trials executed by this service since construction (counted as
+  /// they are collected or aborted).
   [[nodiscard]] std::int64_t trials_executed() const {
-    return plane_.frags_processed();
+    return trials_executed_;
   }
 
  private:
-  static TileResult work_fn(void* ctx, unsigned tile, const TileWork& work);
-
-  /// One stream's shared inputs. Mutated only between streams: every
-  /// result of the previous stream is drained (acquire) before the
-  /// stream closes, and the new values publish to tiles via the intake
-  /// ring's release, so tiles never observe a torn stream.
-  struct Batch {
-    const KSetRunConfig* config = nullptr;
-    std::vector<ScenarioTrial>* results = nullptr;
+  /// One in-flight window entry. The dispatcher writes `seed` before
+  /// publishing the trial through `offered_`; the claiming tile writes
+  /// `trial` and `elapsed_ns`, then release-stores `done`, which the
+  /// dispatcher acquire-loads before reading them.
+  struct Slot {
+    std::uint64_t seed = 0;
+    ScenarioTrial trial;
+    std::int64_t elapsed_ns = 0;
+    std::atomic<bool> done{false};
   };
+
+  void tile_main(unsigned tile, const std::stop_token& stop);
+  /// Runs the trial behind claim `ticket` on `tile` into its slot.
+  void run_claimed(unsigned tile, std::uint64_t ticket);
+  [[nodiscard]] Slot& slot_for(std::uint64_t index) {
+    return slots_[static_cast<std::size_t>(index % slots_.size())];
+  }
 
   const ScenarioFactory* scenario_;
   /// Persistent cross-batch intern domain; tile threads are stable so
@@ -181,22 +199,32 @@ class McTilePlane {
   InternDomain intern_;
   /// Per-tile trial scratch (index = tile).
   std::vector<std::unique_ptr<ScenarioFactory::Scratch>> scratch_;
-  /// Circular in-flight result window: trial i lands in slot
-  /// i % window (unique while in flight — the window bound guarantees
-  /// no two live trials share a slot).
-  std::vector<ScenarioTrial> results_;
-  Batch batch_;
-  std::vector<TileResult> tokens_;  // drained completion tokens
-  /// Streaming state: config copy bound for the stream's lifetime,
-  /// per-slot completion flags + tile-side wall times, and the
-  /// [next_collect_, next_offer_) in-flight cursor pair.
+  std::vector<int> placement_;  // CPU per tile; empty when not pinning
+  std::atomic<unsigned> pin_failures_{0};
+  /// Streaming state, written by the dispatcher only between streams
+  /// (stream_begin) and published to tiles by the first offer's
+  /// release: the config copy bound for the stream's lifetime, the
+  /// circular window (trial i in slot i % window — unique while in
+  /// flight, the window bound guarantees no two live trials share a
+  /// slot), and the ticket that the stream's first index maps to.
   KSetRunConfig stream_config_;
-  std::vector<std::uint8_t> done_;
-  std::vector<std::int64_t> elapsed_ns_;
+  std::vector<Slot> slots_;
+  std::uint64_t stream_first_ = 0;
+  std::uint64_t stream_ticket_ = 0;
+  /// Claim tickets, monotone over the plane's lifetime (never reset
+  /// between streams, so a tile's stale CAS can never succeed on a
+  /// recycled value): tickets below offered_ carry a seed; tickets
+  /// below claimed_ belong to a tile.
+  alignas(64) std::atomic<std::uint64_t> offered_{0};
+  alignas(64) std::atomic<std::uint64_t> claimed_{0};
+  /// Dispatcher-side cursors: [next_collect_, next_offer_) is in
+  /// flight.
   std::uint64_t next_offer_ = 0;
   std::uint64_t next_collect_ = 0;
   bool streaming_ = false;
-  TilePlane plane_;  // last: joins tiles before the rest dies
+  std::int64_t submit_stalls_ = 0;
+  std::int64_t trials_executed_ = 0;
+  std::vector<std::jthread> workers_;  // last: joins tiles before the rest dies
 };
 
 }  // namespace sskel

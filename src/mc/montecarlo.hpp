@@ -53,8 +53,8 @@ struct McSummary {
   Accumulator late_messages;
   Accumulator lost_messages;
   Accumulator wall_clock_ms;  // simulated milliseconds
-  /// Total ring-plane flow-control stalls across the batch (0 when the
-  /// drivers ran the event-queue plane or rings never ran dry).
+  /// Always 0 since the ring plane lost its credits; kept because it
+  /// is part of the SSKC summary encoding and bench harnesses read it.
   std::int64_t credit_stalls = 0;
 
   /// Structure-interning counters, merged over the per-worker shards

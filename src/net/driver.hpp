@@ -21,24 +21,21 @@
 // Message plane (DESIGN.md §12). Two implementations of the delivery
 // hot path share this synchronizer:
 //
-//   * NetPlane::kRing (default) — on-time broadcasts go through
-//     lock-free frag rings: the payload is written once into a shared
-//     dcache slot keyed by (sender, round parity), and one descriptor
-//     per recipient is published into that recipient's credit-gated
-//     FragRing (net/ring.hpp, net/fctl.hpp). Rings drain in batch when
-//     the recipient closes a round — timeliness is *analytic* (the
-//     descriptor carries the arrival time; (*) is evaluated against
-//     the receiver's deadline), so no per-message event, closure, or
-//     allocation exists on the path. Only round closes and the rare
-//     late arrivals remain on the event queue, which is retained
-//     purely for timer semantics. If a recipient's ring runs out of
-//     credits (tiny test depths), the driver performs an early
-//     opportunistic drain — semantics-preserving, since deposits are
-//     keyed by sender and timeliness is analytic — and counts a
-//     credit stall.
+//   * NetPlane::kRing (default) — the payload is written once into a
+//     shared dcache slot keyed by (sender, round parity), and one
+//     {from, slot, round, arrival} entry per on-time recipient is
+//     appended to that recipient's pending list. The list drains in
+//     batch when the recipient closes a round — timeliness is
+//     *analytic* (the entry carries the arrival time; (*) is evaluated
+//     against the receiver's deadline), so no per-message event,
+//     closure, or allocation exists on the path. Only round closes
+//     and the rare late arrivals remain on the event queue, which is
+//     retained purely for timer semantics. The plane keeps its name:
+//     NetPlane::kRing and TraceSource::kNetRing appear in SSKT bytes
+//     and scenario fingerprints.
 //   * NetPlane::kEventQueue — the legacy path: one scheduled event per
 //     delivery. Kept as the baseline for the throughput bench and the
-//     bit-equality tripwire (tests/net/plane_equivalence_test.cpp).
+//     bit-equality oracle (tests/net/plane_equivalence_test.cpp).
 //
 // Both planes consume the RNG identically and produce bit-identical
 // reports: inbox deposits commute (keyed by sender), byte accounting
@@ -55,6 +52,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -62,9 +60,7 @@
 
 #include "graph/digraph.hpp"
 #include "net/event_queue.hpp"
-#include "net/fctl.hpp"
 #include "net/link.hpp"
-#include "net/ring.hpp"
 #include "rounds/algorithm.hpp"
 #include "rounds/engine.hpp"
 #include "rounds/inbox.hpp"
@@ -87,11 +83,6 @@ struct NetConfig {
   std::uint64_t seed = 1;
   /// Delivery hot path.
   NetPlane plane = NetPlane::kRing;
-  /// Descriptor depth of each per-recipient frag ring; 0 = automatic
-  /// (2n, enough for the two live rounds a recipient can have in
-  /// flight, so credit stalls never occur). Tests set tiny depths to
-  /// exercise backpressure.
-  std::size_t ring_depth = 0;
 };
 
 template <typename Msg>
@@ -126,19 +117,10 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     use_rows64_ = n <= 64;
 
     if (config_.plane == NetPlane::kRing) {
-      const std::size_t depth =
-          config_.ring_depth != 0 ? config_.ring_depth : 2 * n;
-      rings_.reserve(n);
-      fctl_.reserve(n);
-      cursors_.resize(n);
-      drain_fseq_ = std::vector<FlowSeq>(n);
-      for (std::size_t q = 0; q < n; ++q) {
-        // Payload slots live in the shared dcache_, not the ring;
-        // descriptors carry dcache indices.
-        rings_.emplace_back(depth, 1);
-        fctl_.emplace_back(rings_.back().depth());
-        fctl_.back().add_consumer(&drain_fseq_[q]);
-      }
+      // A recipient holds at most two live rounds of entries (round r
+      // plus early round-(r+1) sends), so 2n never reallocates.
+      pending_.resize(n);
+      for (std::vector<PendingDelivery>& list : pending_) list.reserve(2 * n);
       // Close calendar: rounds close in one fixed per-round order —
       // by deadline, i.e. by skew, FIFO (= bootstrap = id) on ties —
       // so the ring plane ticks closes off this precomputed cycle
@@ -197,34 +179,17 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     for (const FutureCount& fc : future_counts_) {
       if (arrived(fc.arrival, fc.round)) ++total;
     }
-    Frag frag;
-    for (std::size_t q = 0; q < rings_.size(); ++q) {
-      auto cursor = cursors_[q];  // copy: peek without consuming
-      while (rings_[q].poll(cursor, frag) == PollStatus::kFrag) {
-        if (arrived(frag.tsorig, static_cast<Round>(frag.round))) ++total;
+    for (const std::vector<PendingDelivery>& list : pending_) {
+      for (const PendingDelivery& entry : list) {
+        if (arrived(entry.arrival, entry.round)) ++total;
       }
     }
     return total;
   }
 
-  /// Ring-plane backpressure events: publishes that found a recipient
-  /// ring out of credits and forced an early drain. Always 0 on the
-  /// event-queue plane and with automatic ring depth.
-  [[nodiscard]] std::int64_t credit_stalls() const {
-    std::int64_t total = 0;
-    for (const FlowControl& fctl : fctl_) total += fctl.stalls();
-    return total;
-  }
-
-  /// Frags published across all recipient rings (0 on the event-queue
-  /// plane).
-  [[nodiscard]] std::int64_t ring_frags() const {
-    std::int64_t total = 0;
-    for (const auto& ring : rings_) {
-      total += static_cast<std::int64_t>(ring.seq_produced());
-    }
-    return total;
-  }
+  /// Always 0: the pending lists have no credits to run out of. Kept
+  /// for callers that still report it.
+  [[nodiscard]] std::int64_t credit_stalls() const { return 0; }
 
   [[nodiscard]] NetPlane plane() const { return config_.plane; }
 
@@ -362,60 +327,41 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     }
   }
 
-  /// Ring plane: publishes one delivery descriptor into the
-  /// recipient's ring, early-draining on credit exhaustion.
-  void publish_frag(ProcId from, ProcId to, Round r, SimTime arrival,
-                    std::uint32_t slot) {
-    FragRing<Msg>& ring = rings_[static_cast<std::size_t>(to)];
-    FlowControl& fctl = fctl_[static_cast<std::size_t>(to)];
-    if (!fctl.acquire(ring.seq_produced())) {
-      drain_ring(to);
-      const bool ok = fctl.acquire(ring.seq_produced());
-      SSKEL_ASSERT(ok);
-    }
-    ring.publish(frag_sig(from, to), slot, r, arrival);
-  }
-
-  /// Drains every published frag of `q`'s ring into its inboxes and
-  /// republishes the consumption watermark. Runs at q's round closes
-  /// and under producer backpressure; both are safe at any time
-  /// because deposits commute and timeliness is analytic (late frags
-  /// never enter the ring — see start_round).
-  void drain_ring(ProcId q) {
-    FragRing<Msg>& ring = rings_[static_cast<std::size_t>(q)];
-    auto& cursor = cursors_[static_cast<std::size_t>(q)];
+  /// Deposits every pending entry of `q` into its inboxes. Runs at q's
+  /// round closes; late messages never enter the list (see
+  /// start_round), and deposits commute, so list order is immaterial.
+  void drain_pending(ProcId q) {
+    std::vector<PendingDelivery>& list = pending_[static_cast<std::size_t>(q)];
     // now() is loop-invariant across the whole drain (no events
     // execute mid-drain), so hoist it past the deposit stores the
     // compiler must otherwise assume could alias the clock.
     const SimTime now = queue_.now();
-    // Frags of one drain span at most two rounds (r, then early r+1
-    // publishes), and producers publish in event order — so the inbox
-    // slot switches at most once per drain and is worth caching
-    // instead of re-resolving per frag.
+    // Entries of one drain span at most two rounds (r, then early r+1
+    // sends), appended in event order — so the inbox slot switches at
+    // most once per drain and is worth caching instead of re-resolving
+    // per entry.
     RoundInboxSlot<Msg>* slot = nullptr;
     Round slot_round = 0;
     SimTime slot_deadline = 0;
-    Frag frag;
-    while (ring.poll(cursor, frag) == PollStatus::kFrag) {
-      const auto r = static_cast<Round>(frag.round);
+    for (const PendingDelivery& entry : list) {
+      const Round r = entry.round;
       if (r != slot_round) {
         slot = &inboxes_.acquire(q, r);
         slot_round = r;
         slot_deadline = deadline(q, r);
       }
-      SSKEL_ASSERT(frag.tsorig <= slot_deadline);
-      if (frag.tsorig <= now) {  // count_delivery, against the hoisted clock
+      SSKEL_ASSERT(entry.arrival <= slot_deadline);
+      if (entry.arrival <= now) {  // count_delivery, against the hoisted clock
         ++delivered_;
       } else {
-        future_counts_.push_back(FutureCount{frag.tsorig, r});
+        future_counts_.push_back(FutureCount{entry.arrival, r});
       }
-      const ProcId from = sig_from(frag.sig);
-      const Msg& msg = dcache_[frag.slot];
-      slot->senders.insert(from);
-      slot->messages[static_cast<std::size_t>(from)] = msg;
+      const Msg& msg = dcache_[entry.slot];
+      slot->senders.insert(entry.from);
+      slot->messages[static_cast<std::size_t>(entry.from)] = msg;
       if (this->sizer_) account_delivery(r, msg);
     }
-    drain_fseq_[static_cast<std::size_t>(q)].publish(cursor.seq);
+    list.clear();
     // Housekeeping: settle deferred counts whose arrival has passed.
     if (!future_counts_.empty()) {
       std::erase_if(future_counts_, [&](const FutureCount& fc) {
@@ -474,10 +420,10 @@ class NetRoundDriver final : public RoundEngine<Msg> {
       }
       const SimTime due = deadline(q, r);
       if (arrival > due) {
-        // Late: never enters the ring. The timer event reproduces the
-        // event-queue plane's counting cutoff exactly — a late
-        // arrival past the run's final event stays uncounted there
-        // too.
+        // Late: never enters the pending list. The timer event
+        // reproduces the event-queue plane's counting cutoff exactly —
+        // a late arrival past the run's final event stays uncounted
+        // there too.
         queue_.schedule(arrival, [this, p, q, r] {
           ++late_;
           if (sink_ != nullptr) {
@@ -492,7 +438,8 @@ class NetRoundDriver final : public RoundEngine<Msg> {
         account_delivery(r, msg);
         if (sink_ != nullptr) schedule_trace_delivery(p, q, r, arrival, true);
       } else {
-        publish_frag(p, q, r, arrival, slot);
+        pending_[static_cast<std::size_t>(q)].push_back(
+            PendingDelivery{p, slot, r, arrival});
         if (sink_ != nullptr) schedule_trace_delivery(p, q, r, arrival, false);
       }
     }
@@ -547,10 +494,10 @@ class NetRoundDriver final : public RoundEngine<Msg> {
 
   void close_round(ProcId p, Round r) {
     if (sink_ != nullptr) sink_->on_close(r, p, queue_.now());
-    // Ring plane: batch-consume everything published since the last
-    // close (round-r frags, plus early round-(r+1) frags that simply
-    // land in the other parity slot).
-    if (config_.plane == NetPlane::kRing) drain_ring(p);
+    // Ring plane: batch-consume everything appended since the last
+    // close (round-r entries, plus early round-(r+1) entries that
+    // simply land in the other parity slot).
+    if (config_.plane == NetPlane::kRing) drain_pending(p);
 
     RoundInboxSlot<Msg>& slot = inboxes_.acquire(p, r);
     const Inbox<Msg> view(slot.senders, slot.messages);
@@ -647,9 +594,18 @@ class NetRoundDriver final : public RoundEngine<Msg> {
     }
   }
 
+  /// Ring plane: one on-time message awaiting its recipient's close.
+  struct PendingDelivery {
+    ProcId from = 0;
+    std::uint32_t slot = 0;  // dcache_ index of the payload
+    Round round = 0;
+    SimTime arrival = 0;
+  };
+
   /// A ring-plane on-time message counted before its arrival instant
-  /// (early drain or publish-time zombie); settled into delivered_
-  /// once its arrival passes, evaluated analytically at a cut before.
+  /// (drained at a close that precedes it, or a publish-time zombie);
+  /// settled into delivered_ once its arrival passes, evaluated
+  /// analytically at a cut before.
   struct FutureCount {
     SimTime arrival = 0;
     Round round = 0;
@@ -663,11 +619,9 @@ class NetRoundDriver final : public RoundEngine<Msg> {
   InboxBuffer<Msg> inboxes_;
   /// Shared payload dcache: 2 slots per sender (round parity).
   std::vector<Msg> dcache_;
-  /// Ring plane state (empty on the event-queue plane).
-  std::vector<FragRing<Msg>> rings_;
-  std::vector<FlowControl> fctl_;
-  std::vector<FlowSeq> drain_fseq_;
-  std::vector<typename FragRing<Msg>::Cursor> cursors_;
+  /// Ring plane: on-time deliveries per recipient, drained at its
+  /// closes (empty on the event-queue plane).
+  std::vector<std::vector<PendingDelivery>> pending_;
   /// Close calendar (ring plane): the fixed per-round close order and
   /// each process's pending close (absolute time, tie-break seq,
   /// round; round 0 = not yet armed).

@@ -15,8 +15,6 @@ NetKSetReport run_kset_over_network(const LinkMatrix& links,
   report.delivered_messages = driver.delivered_messages();
   report.late_messages = driver.late_messages();
   report.lost_messages = driver.lost_messages();
-  report.credit_stalls = driver.credit_stalls();
-  report.ring_frags = driver.ring_frags();
   report.wall_clock = driver.now();
   return report;
 }

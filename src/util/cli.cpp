@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace sskel {
 
@@ -19,6 +21,18 @@ namespace {
   std::exit(2);
 }
 }  // namespace
+
+std::optional<std::int64_t> parse_int_in(const std::string& text,
+                                         std::int64_t lo, std::int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 CliArgs::CliArgs(int argc, const char* const* argv,
                  std::vector<std::string> known_flags)
@@ -68,9 +82,22 @@ std::string CliArgs::get_string(const std::string& name,
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
+  const std::optional<std::int64_t> value =
+      get_int_in(name, fallback, std::numeric_limits<std::int64_t>::min(),
+                 std::numeric_limits<std::int64_t>::max());
+  if (!value.has_value()) {
+    usage_error(program_, "--" + name + " expects an integer", {});
+  }
+  return *value;
+}
+
+std::optional<std::int64_t> CliArgs::get_int_in(const std::string& name,
+                                                std::int64_t fallback,
+                                                std::int64_t lo,
+                                                std::int64_t hi) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int_in(it->second, lo, hi);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

@@ -549,6 +549,21 @@ TEST(CampaignSpecTest, RejectsBadInputWithLineNumbers) {
       {"k = 2\njob = partition trials=5 warp=1\n", 2},  // unknown attr
       {"k = 2\nthis is not a key value line\n", 2},   // grammar
       {"k = 2\n", 0},                                 // no jobs at all
+      // Values that overflow or truncate on the way to their type.
+      {"k = 4294967297\njob = partition trials=5\n", 1},  // int wrap
+      {"k = 99999999999999999999\njob = partition trials=5\n", 1},  // ERANGE
+      {"k = 2\nmax_rounds = 4294967296\n", 2},       // Round wrap
+      {"k = 2\njob = partition trials=2 n=4294967300 m=2\n", 2},  // ProcId
+      {"k = 2\njob = partition trials=99999999999999999999\n", 2},  // ERANGE
+      {"k = 2\njob = partition trials=2 seed=99999999999999999999\n", 2},
+      {"k = 2\njob = partition trials=2 seed=-1\n", 2},  // negated seed
+      {"k = 2\njob = crash trials=2 maxcrash=2147483648\n", 2},  // Round
+      // Probabilities outside [0, 1], NaN included.
+      {"k = 2\njob = partition trials=2 noise=7\n", 2},
+      {"k = 2\njob = partition trials=2 noise=-0.5\n", 2},
+      {"k = 2\njob = random-psrcs trials=2 noise=nan\n", 2},
+      // More roots than processes: the generator would abort.
+      {"k = 9\njob = random-psrcs trials=2 n=4 k=9 roots=5\n", 2},
   };
   for (const auto& test_case : cases) {
     const SpecParseResult parsed = parse_campaign_spec(test_case.text);

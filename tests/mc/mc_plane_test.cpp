@@ -3,17 +3,18 @@
 // pattern: the same (scenario, master seed, trials, config) must
 // produce bit-identical trial-derived McSummary fields on the
 // fork-join pool scheduler and on the tile-plane scheduler, across
-// tile counts {1, 2, 4}, and under a tiny-ring backpressure
-// configuration. Only service-level fields — intern/arena/peak
-// counters and scheduler provenance — may differ. Also covers the
-// engine-scratch reuse contract (run_trial with scratch == without)
-// and the SSKEL_THREADS tile-count cap.
+// tile counts {1, 2, 4}, and under tiny-window backpressure. Only
+// service-level fields — intern/arena/peak counters and scheduler
+// provenance — may differ. Also covers the engine-scratch reuse
+// contract (run_trial with scratch == without), tile pinning and
+// placement, and the SSKEL_THREADS tile-count cap.
 #include "mc/mc_plane.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "mc/montecarlo.hpp"
@@ -102,7 +103,7 @@ TEST(McTilePlane, PoolVsTilePlaneBitIdentical) {
   expect_summaries_equal(pool, tiled);
   EXPECT_EQ(pool.scheduler, "pool");
   EXPECT_EQ(tiled.scheduler, "tile-plane");
-  EXPECT_EQ(tiled.tiles, 2);
+  EXPECT_EQ(tiled.tiles, static_cast<std::int64_t>(plane.tiles()));
   EXPECT_EQ(plane.trials_executed(), trials);
 }
 
@@ -117,40 +118,64 @@ TEST(McTilePlane, BitIdenticalAcrossTileCounts) {
     options.tiles = tiles;
     McTilePlane plane(scenario, options);
     runs.push_back(plane.run(kSeed, trials, config));
-    EXPECT_EQ(runs.back().tiles, static_cast<std::int64_t>(tiles));
+    // SSKEL_THREADS may cap the request; the summary reports the plane.
+    EXPECT_LE(plane.tiles(), tiles);
+    EXPECT_EQ(runs.back().tiles, static_cast<std::int64_t>(plane.tiles()));
   }
   expect_summaries_equal(runs[0], runs[1]);
   expect_summaries_equal(runs[0], runs[2]);
 }
 
-TEST(McTilePlane, TinyRingBackpressureBitIdentical) {
-  // Depth-2 rings against 48 trials on 3 tiles: the dispatcher and
-  // tiles must ride the credit gates without reordering or dropping a
-  // trial. Results stay equal to the reference scheduler.
+TEST(McTilePlane, TinyWindowBackpressureBitIdentical) {
+  // Windows of 1 and 2 against 48 trials on 3 tiles: the dispatcher
+  // must be refused (the window is the only backpressure) and ride it
+  // without reordering or dropping a trial. Results stay equal to the
+  // reference scheduler.
   const PartitionScenario scenario = make_partition_scenario(8);
   const KSetRunConfig config = base_config();
   const int trials = 48;
 
   const McSummary pool =
       run_scenario_trials(scenario, kSeed, trials, config, /*threads=*/1);
-  McPlaneOptions options;
-  options.tiles = 3;
-  options.ring_depth = 2;
-  options.lazy = 1;
-  McTilePlane plane(scenario, options);
-  const McSummary tiled = plane.run(kSeed, trials, config);
-  expect_summaries_equal(pool, tiled);
+  for (std::size_t window : {std::size_t{1}, std::size_t{2}}) {
+    McPlaneOptions options;
+    options.tiles = 3;
+    McTilePlane plane(scenario, options);
+    McSummary streamed;
+    streamed.scenario = scenario.name();
+    streamed.bytes_measured = config.measure_bytes;
+    const McTilePlane::StreamSink sink =
+        [&](std::uint64_t, const ScenarioTrial& trial, std::int64_t) {
+          fold_scenario_trial(streamed, trial, config);
+        };
+    plane.stream_begin(config, window);
+    for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(trials);) {
+      if (plane.stream_offer(t, mix_seed(kSeed, t))) {
+        ++t;
+      } else {
+        EXPECT_LE(plane.stream_in_flight(),
+                  static_cast<std::int64_t>(window));
+        (void)plane.stream_collect(sink);
+      }
+    }
+    plane.stream_flush(sink);
+    plane.stream_end();
+    expect_summaries_equal(pool, streamed);
+    EXPECT_GT(plane.submit_stalls(), 0) << "window " << window;
+    EXPECT_EQ(plane.trials_executed(), trials);
+  }
 }
 
 TEST(McTilePlane, PersistentServiceReusesInternAcrossBatches) {
   // The point of the persistent service: batch 2 of the same scenario
-  // resolves structures against the shards batch 1 populated — entry
+  // resolves structures against the shard batch 1 populated — entry
   // count stops growing while hits keep climbing. Trial-derived
-  // fields stay bit-identical (same seeds).
+  // fields stay bit-identical (same seeds). One tile, so every trial
+  // of batch 2 lands on the shard that ran it in batch 1.
   const PartitionScenario scenario = make_partition_scenario(10);
   const KSetRunConfig config = base_config();
   McPlaneOptions options;
-  options.tiles = 2;
+  options.tiles = 1;
   McTilePlane plane(scenario, options);
 
   const McSummary first = plane.run(kSeed, 16, config);
@@ -161,6 +186,45 @@ TEST(McTilePlane, PersistentServiceReusesInternAcrossBatches) {
   // ...while resolutions kept landing as hits.
   EXPECT_GT(second.intern.hits, first.intern.hits);
   EXPECT_EQ(plane.trials_executed(), 32);
+}
+
+TEST(McTilePlane, PersistentServiceReusesInternAcrossBatchesOnManyTiles) {
+  // With several tiles, trials are claimed dynamically, so a batch-2
+  // trial may land on a shard that has not seen its structures yet
+  // (DESIGN.md §13). What still holds: each shard only ever holds the
+  // workload's structures, so entries stay within tiles x the 1-tile
+  // count; and a repeated trial on a shard that already ran it adds
+  // nothing, so at most tiles x trials batches can grow the entry
+  // count — within that many batches plus one, some batch adds none.
+  const PartitionScenario scenario = make_partition_scenario(10);
+  const KSetRunConfig config = base_config();
+  const int trials = 8;
+  McPlaneOptions one_tile;
+  one_tile.tiles = 1;
+  McTilePlane reference(scenario, one_tile);
+  const McSummary baseline = reference.run(kSeed, trials, config);
+
+  McPlaneOptions options;
+  options.tiles = 2;
+  McTilePlane plane(scenario, options);
+  const std::int64_t bound =
+      static_cast<std::int64_t>(plane.tiles()) * baseline.intern.entries;
+  McSummary previous = plane.run(kSeed, trials, config);
+  expect_summaries_equal(baseline, previous);
+  EXPECT_LE(previous.intern.entries, bound);
+  const int max_batches = static_cast<int>(plane.tiles()) * trials + 1;
+  bool settled = false;
+  for (int batch = 0; batch < max_batches && !settled; ++batch) {
+    const McSummary next = plane.run(kSeed, trials, config);
+    expect_summaries_equal(baseline, next);
+    EXPECT_GE(next.intern.entries, previous.intern.entries);
+    EXPECT_LE(next.intern.entries, bound);
+    EXPECT_GT(next.intern.hits, previous.intern.hits);
+    settled = next.intern.entries == previous.intern.entries;
+    previous = next;
+  }
+  EXPECT_TRUE(settled) << "entries still growing after " << max_batches
+                       << " batches";
 }
 
 TEST(McTilePlane, ScratchReuseMatchesScratchFreeTrials) {
@@ -327,6 +391,49 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
                         config);
   }
   expect_summaries_equal(expected, tail);
+}
+
+TEST(McTilePlane, PlacementEmptyWhenNotPinning) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  McPlaneOptions options;
+  options.tiles = 2;
+  McTilePlane plane(scenario, options);
+  EXPECT_TRUE(plane.placement().empty());
+  EXPECT_EQ(plane.failed_pins(), 0u);
+}
+
+TEST(McTilePlane, ExplicitCpuPlacementIsCycledAcrossTiles) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  const KSetRunConfig config = base_config();
+  McPlaneOptions options;
+  options.tiles = 3;
+  options.pin_tiles = true;
+  options.cpu_placement = {0};  // CPU 0 always exists
+  McTilePlane plane(scenario, options);
+  // SSKEL_THREADS may cap the three tiles requested.
+  ASSERT_EQ(plane.placement().size(), plane.tiles());
+  for (int cpu : plane.placement()) EXPECT_EQ(cpu, 0);
+  std::string expected_placement = "0";
+  for (unsigned t = 1; t < plane.tiles(); ++t) expected_placement += ",0";
+  // Pinning to CPU 0 is legal on any host that lets us pin at all, so
+  // either every pin landed or the runner forbids affinity entirely.
+  const McSummary summary = plane.run(kSeed, 2, config);
+  EXPECT_EQ(summary.runs, 2);
+  EXPECT_EQ(summary.tile_placement, expected_placement);
+  EXPECT_LE(plane.failed_pins(), plane.tiles());
+}
+
+TEST(McTilePlane, TopologyDerivedPlacementCoversEveryTile) {
+  const PartitionScenario scenario = make_partition_scenario(8);
+  const KSetRunConfig config = base_config();
+  McPlaneOptions options;
+  options.tiles = 4;
+  options.pin_tiles = true;  // placement from probe_cpu_topology()
+  McTilePlane plane(scenario, options);
+  ASSERT_EQ(plane.placement().size(), plane.tiles());
+  for (int cpu : plane.placement()) EXPECT_GE(cpu, 0);
+  const McSummary summary = plane.run(kSeed, 16, config);
+  EXPECT_EQ(summary.runs, 16);
 }
 
 TEST(McTilePlaneEnv, TilesFromEnvValuePureCases) {

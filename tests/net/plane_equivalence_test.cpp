@@ -3,8 +3,7 @@
 // ring plane must produce identical KSetRunReports — same decisions,
 // same derived skeletons, same message accounting, same simulated
 // clock — under clean networks, lossy/flaky networks with late
-// arrivals, deadline ties, and ring backpressure alike. Only the
-// plane-mechanics counters (credit_stalls, ring_frags) may differ.
+// arrivals, and deadline ties alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,13 +49,11 @@ void expect_reports_equal(const NetKSetReport& ring,
   EXPECT_EQ(ring.late_messages, eq.late_messages);
   EXPECT_EQ(ring.lost_messages, eq.lost_messages);
   EXPECT_EQ(ring.wall_clock, eq.wall_clock);
-  // credit_stalls / ring_frags are plane mechanics, free to differ.
 }
 
 NetKSetReport run_on_plane(const LinkMatrix& links, NetKSetConfig config,
-                           NetPlane plane, std::size_t ring_depth = 0) {
+                           NetPlane plane) {
   config.net.plane = plane;
-  config.net.ring_depth = ring_depth;
   return run_kset_over_network(links, config);
 }
 
@@ -135,44 +132,6 @@ TEST(PlaneEquivalenceTest, TiedDeadlinesWithSkewedClocks) {
   const LinkMatrix links = LinkMatrix::all_timely(n, 1000, 1000);
   expect_reports_equal(run_on_plane(links, config, NetPlane::kRing),
                        run_on_plane(links, config, NetPlane::kEventQueue));
-}
-
-TEST(PlaneEquivalenceTest, TinyRingDepthBackpressureChangesNothing) {
-  const ProcId n = 8;
-  NetKSetConfig config;
-  config.run.k = 1;
-  config.run.tail_rounds = 2;
-  config.net.round_duration = 1000;
-  config.net.seed = 0x5EED05;
-  for (ProcId p = 0; p < n; ++p) {
-    config.net.skews.push_back((static_cast<SimTime>(p) * 201) % 1000);
-  }
-  const LinkMatrix links = LinkMatrix::all_timely(n, 30, 300);
-  // Depth 4 against n-1 = 7 inbound publishes per round: early drains
-  // must fire, and the report must not move an inch.
-  const NetKSetReport ring =
-      run_on_plane(links, config, NetPlane::kRing, /*ring_depth=*/4);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
-  expect_reports_equal(ring, eq);
-  EXPECT_GT(ring.credit_stalls, 0);
-  EXPECT_EQ(eq.credit_stalls, 0);
-}
-
-TEST(PlaneEquivalenceTest, RingFragCountMatchesDeliveries) {
-  // On a clean all-timely network every non-self delivery crosses a
-  // ring exactly once (no lates, no ties, no stall re-publishes).
-  const ProcId n = 5;
-  NetKSetConfig config;
-  config.run.k = 1;
-  config.net.seed = 0x5EED06;
-  const LinkMatrix links = LinkMatrix::all_timely(n, 100, 800);
-  const NetKSetReport ring = run_on_plane(links, config, NetPlane::kRing);
-  EXPECT_GE(ring.ring_frags, ring.delivered_messages);
-  const NetKSetReport eq =
-      run_on_plane(links, config, NetPlane::kEventQueue);
-  EXPECT_EQ(eq.ring_frags, 0);
-  expect_reports_equal(ring, eq);
 }
 
 }  // namespace

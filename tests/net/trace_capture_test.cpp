@@ -28,9 +28,8 @@ struct CapturedRun {
 };
 
 CapturedRun run_with_capture(const LinkMatrix& links, NetKSetConfig config,
-                             NetPlane plane, std::size_t ring_depth = 0) {
+                             NetPlane plane) {
   config.net.plane = plane;
-  config.net.ring_depth = ring_depth;
   const ProcId n = links.n();
   NetRoundDriver<SkeletonMessage> driver(
       config.net, links, make_kset_processes(n, config.run));

@@ -8,14 +8,18 @@
 //                                                       checkpoint
 //   sskel_campaign make-seed --out=DIR                  SSKC fuzz seeds
 //
-// Shared run/resume flags:
+// Shared run/resume flags (a value outside its bounds exits 2):
 //   --artifacts=DIR   capture misbehaving trials as .sskt files
-//   --stop-after=N    deterministic kill after N folded trials
-//   --progress=N      emit a progress record every N trials
+//   --stop-after=N    deterministic kill after N >= 0 folded trials
+//                     (default -1 = run to completion)
+//   --progress=N      emit a progress record every N >= 0 trials
+//                     (0 = off)
 //   --progress-path=F append progress records to F (JSON lines)
-//   --checkpoint-every=N  checkpoint cadence (default 10000)
-//   --window=N        in-flight trial window (default 256)
-//   --tiles=N         worker tiles (0 = resolve from environment)
+//   --checkpoint-every=N  checkpoint cadence, N >= 0 (default 10000;
+//                     0 = only at job boundaries and on stop)
+//   --window=N        in-flight trial window, 1..65536 (default 256)
+//   --tiles=N         worker tiles, 0..1024 (0 = resolve from
+//                     environment)
 //   --quiet           suppress per-job digest lines
 //
 // run/resume print one line per job:
@@ -30,6 +34,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -46,10 +52,10 @@ using namespace sskel;
   std::fprintf(stderr,
                "usage: sskel_campaign <run|resume|status|make-seed> [flags]\n"
                "  run    --spec=FILE --state=DIR [--artifacts=DIR]\n"
-               "         [--stop-after=N] [--progress=N] "
+               "         [--stop-after=N>=-1] [--progress=N>=0] "
                "[--progress-path=FILE]\n"
-               "         [--checkpoint-every=N] [--window=N] [--tiles=N] "
-               "[--quiet]\n"
+               "         [--checkpoint-every=N>=0] [--window=1..65536]\n"
+               "         [--tiles=0..1024] [--quiet]\n"
                "  resume (same flags as run)\n"
                "  status --state=DIR\n"
                "  make-seed --out=DIR\n");
@@ -95,6 +101,22 @@ void print_result(const CampaignSpec& spec, const CampaignResult& result,
               stats.checkpoint_stall_pct, stats.artifacts_captured);
 }
 
+/// An integer flag within [lo, hi]; anything else exits 2 with usage.
+std::int64_t bounded_flag(const CliArgs& args, const char* name,
+                          std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) {
+  const std::optional<std::int64_t> value =
+      args.get_int_in(name, fallback, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr,
+                 "sskel_campaign: --%s must be an integer in [%" PRId64
+                 ", %" PRId64 "]\n",
+                 name, lo, hi);
+    usage();
+  }
+  return *value;
+}
+
 int cmd_run(const CliArgs& args, bool resume) {
   const std::string spec_path = args.get_string("spec", "");
   if (spec_path.empty()) usage();
@@ -103,12 +125,16 @@ int cmd_run(const CliArgs& args, bool resume) {
   CampaignOptions options;
   options.state_dir = args.get_string("state", "");
   options.artifact_dir = args.get_string("artifacts", "");
-  options.stop_after_trials = args.get_int("stop-after", -1);
-  options.progress_every = args.get_int("progress", 0);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  options.stop_after_trials = bounded_flag(args, "stop-after", -1, -1, kMax);
+  options.progress_every = bounded_flag(args, "progress", 0, 0, kMax);
   options.progress_path = args.get_string("progress-path", "");
-  options.checkpoint_every = args.get_int("checkpoint-every", 10000);
-  options.window = static_cast<std::size_t>(args.get_int("window", 256));
-  options.plane.tiles = static_cast<unsigned>(args.get_int("tiles", 0));
+  options.checkpoint_every =
+      bounded_flag(args, "checkpoint-every", 10000, 0, kMax);
+  options.window =
+      static_cast<std::size_t>(bounded_flag(args, "window", 256, 1, 65536));
+  options.plane.tiles =
+      static_cast<unsigned>(bounded_flag(args, "tiles", 0, 0, 1024));
 
   if (resume && !options.state_dir.empty()) {
     // Friendly fingerprint check before the engine REQUIREs it. The
