@@ -11,6 +11,7 @@
 #include "adversary/crash.hpp"
 #include "adversary/rotating.hpp"
 #include "util/cli.hpp"
+#include "util/decode.hpp"
 
 namespace sskel {
 
@@ -40,6 +41,12 @@ template <typename T>
 constexpr IntRange kRangeOf{std::numeric_limits<T>::min(),
                             std::numeric_limits<T>::max()};
 
+/// Process counts are capped like the trace decoder's, so a
+/// violation artifact written by the campaign decodes again (and a
+/// partition's blocks are built at parse time, O(n) each).
+constexpr IntRange kUniverseRange{
+    0, static_cast<std::int64_t>(kMaxDecodeUniverse)};
+
 /// key=value attributes of a `job =` line, after the scenario word.
 class Attrs {
  public:
@@ -57,8 +64,8 @@ class Attrs {
     return true;
   }
 
-  /// `range` is the destination type's: semantic bounds are the
-  /// caller's to check, after the value is known to fit.
+  /// `range` is the destination type's (or kUniverseRange): semantic
+  /// bounds are the caller's to check, after the value is known to fit.
   [[nodiscard]] bool get_int(const std::string& key, std::int64_t fallback,
                              IntRange range, std::int64_t& out,
                              std::string& error) {
@@ -191,7 +198,7 @@ class Attrs {
     std::int64_t m = 0;
     double noise = 0.0;
     std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 4, kRangeOf<ProcId>, n, error) ||
+    if (!attrs.get_int("n", 4, kUniverseRange, n, error) ||
         !attrs.get_int("m", 2, kRangeOf<int>, m, error) ||
         !attrs.get_probability("noise", 0.0, noise, error) ||
         !attrs.get_int("stabilize", 1, kRangeOf<Round>, stabilize, error)) {
@@ -213,7 +220,7 @@ class Attrs {
     std::int64_t maxcore = 0;
     double noise = 0.0;
     std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 8, kRangeOf<ProcId>, n, error) ||
+    if (!attrs.get_int("n", 8, kUniverseRange, n, error) ||
         !attrs.get_int("k", 2, kRangeOf<int>, k, error) ||
         !attrs.get_int("roots", 2, kRangeOf<int>, roots, error) ||
         !attrs.get_int("maxcore", 3, kRangeOf<int>, maxcore, error) ||
@@ -239,7 +246,7 @@ class Attrs {
     std::int64_t n = 0;
     std::int64_t crashes = 0;
     std::int64_t maxcrash = 0;
-    if (!attrs.get_int("n", 5, kRangeOf<ProcId>, n, error) ||
+    if (!attrs.get_int("n", 5, kUniverseRange, n, error) ||
         !attrs.get_int("crashes", 1, kRangeOf<int>, crashes, error) ||
         !attrs.get_int("maxcrash", 3, kRangeOf<Round>, maxcrash, error)) {
       return false;
@@ -254,7 +261,7 @@ class Attrs {
   } else if (kind == "rotating") {
     std::int64_t n = 0;
     std::int64_t hold = 0;
-    if (!attrs.get_int("n", 4, kRangeOf<ProcId>, n, error) ||
+    if (!attrs.get_int("n", 4, kUniverseRange, n, error) ||
         !attrs.get_int("hold", 1, kRangeOf<Round>, hold, error)) {
       return false;
     }

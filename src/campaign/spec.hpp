@@ -16,8 +16,9 @@
 // tail_rounds, measure_bytes (0/1), lemma_monitor (0/1).
 //
 // Integers must fit the type they land in (int, ProcId or Round —
-// nothing wraps or saturates), probabilities (noise) lie in [0, 1],
-// and random-psrcs needs roots <= min(k, n).
+// nothing wraps or saturates), n is at most 131,072 (the trace
+// decoder's universe cap), probabilities (noise) lie in [0, 1], and
+// random-psrcs needs roots <= min(k, n).
 //
 // Parsing never aborts on bad input — specs are user files; errors
 // come back with the offending line number so the CLI can point at

@@ -103,7 +103,14 @@ std::optional<std::int64_t> CliArgs::get_int_in(const std::string& name,
 double CliArgs::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    usage_error(program_, "--" + name + " expects a number", {});
+  }
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

@@ -40,6 +40,9 @@ class CliArgs {
   [[nodiscard]] std::optional<std::int64_t> get_int_in(
       const std::string& name, std::int64_t fallback, std::int64_t lo,
       std::int64_t hi) const;
+  /// A present value must be a whole floating-point number (strtod
+  /// syntax); empty text, trailing junk or overflow exits 2 with a
+  /// message.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

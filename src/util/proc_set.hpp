@@ -16,7 +16,7 @@
 //     tier* — one bit per payload word (so one summary word covers
 //     64 * 64 = 4096 processes) kept exactly in sync; iteration and
 //     shrink operations walk only summary-active blocks, and bulk
-//     dense sweeps dispatch to the SIMD word kernels
+//     dense sweeps run the inline word kernels
 //     (util/word_kernels.hpp);
 //   * large universes, sparse form: once a shrink leaves at most
 //     1/8 of the payload words nonzero, the payload is dropped for a
@@ -190,8 +190,8 @@ class ProcSet {
     SSKEL_REQUIRE(n_ == other.n_);
     if (!sparse_ && !other.sparse_ && summary_.empty() &&
         other.summary_.empty()) {
-      // Small-universe dense union: a plain word loop beats the
-      // kernel dispatch for the handful of words involved.
+      // Small-universe dense union: an inline word loop over the
+      // handful of words involved.
       for (std::size_t w = 0; w < words_.size(); ++w) {
         words_[w] |= other.words_[w];
       }

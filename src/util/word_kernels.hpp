@@ -1,99 +1,110 @@
-// Runtime-dispatched word kernels for bitset algebra.
+// Word kernels for bitset algebra.
 //
 // Every hot loop of the library bottoms out in straight-line algebra
 // over packed 64-bit words: skeleton intersection, removal-diff
-// materialization, masked BFS folds, subset tests. At n = 65,536 a
-// single dense row is 1024 words and one complete-graph intersection
-// sweep touches gigabytes, so those loops are worth explicit SIMD.
-// This header exposes one dispatch table of C-style kernels with three
-// implementations — portable scalar, AVX2 (4 words per op), and
-// AVX-512F (8 words per op) — selected once at startup from CPUID,
-// overridable via the SSKEL_SIMD environment variable
-// (auto/scalar/avx2/avx512, mirroring SSKEL_THREADS) and via force()
-// so the equivalence tests can run every supported path.
+// materialization, masked BFS folds, subset tests. These are the
+// plain per-word loops, inline so the compiler sees them at every
+// call site; at the trial workloads' sizes (n <= 64) a row is one
+// word, and at n = 65,536 the summary tier keeps the sweeps to the
+// active blocks.
 //
 // Kernels are deliberately representation-free: they see raw word
 // spans, not ProcSets. The tiered ProcSet calls them on its dense
-// payload; sparse blocks go through per-word scalar merges where SIMD
-// has nothing to add.
+// payload; sparse blocks go through per-word merges. All spans are
+// `nw` words long; they may alias only exactly (dst == src).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
 namespace sskel::wk {
 
-/// Instruction-set tiers, ordered by preference.
-enum class Simd { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+/// dst &= src; returns the OR of all removed bits (nonzero iff the
+/// AND cleared anything).
+inline std::uint64_t and_changed(std::uint64_t* dst, const std::uint64_t* src,
+                                 std::size_t nw) {
+  std::uint64_t removed = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    removed |= dst[i] & ~src[i];
+    dst[i] &= src[i];
+  }
+  return removed;
+}
 
-/// One dispatchable kernel set. All spans are `nw` words long;
-/// overlapping spans are not supported (callers pass distinct
-/// buffers or dst == a style in-place forms as documented per field).
-struct Kernels {
-  /// dst &= src.
-  void (*and_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t nw);
-  /// dst &= src; returns the OR of all removed bits (nonzero iff the
-  /// AND cleared anything).
-  std::uint64_t (*and_changed)(std::uint64_t* dst, const std::uint64_t* src,
-                               std::size_t nw);
-  /// dst &= src; diff[i] receives the bits removed from dst[i];
-  /// returns the OR of all removed bits.
-  std::uint64_t (*and_diff)(std::uint64_t* dst, const std::uint64_t* src,
-                            std::uint64_t* diff, std::size_t nw);
-  /// dst |= src.
-  void (*or_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t nw);
-  /// dst |= a & b — the fused masked-BFS fold (frontier row ANDed with
-  /// the member mask, ORed into the visited accumulator, one pass).
-  void (*or_and)(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t nw);
-  /// dst &= ~src.
-  void (*andnot_inplace)(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t nw);
-  /// (a & ~b) == 0 over the span.
-  bool (*subset)(const std::uint64_t* a, const std::uint64_t* b,
-                 std::size_t nw);
-  /// (a & b) != 0 anywhere in the span.
-  bool (*intersects)(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t nw);
-};
+/// dst &= src; diff[i] receives the bits removed from dst[i];
+/// returns the OR of all removed bits.
+inline std::uint64_t and_diff(std::uint64_t* dst, const std::uint64_t* src,
+                              std::uint64_t* diff, std::size_t nw) {
+  std::uint64_t removed = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    const std::uint64_t gone = dst[i] & ~src[i];
+    diff[i] = gone;
+    removed |= gone;
+    dst[i] &= src[i];
+  }
+  return removed;
+}
 
-/// The active kernel table (resolved on first use: SSKEL_SIMD when
-/// set and supported, otherwise the best CPUID-supported tier).
-[[nodiscard]] const Kernels& ops();
+/// dst |= src.
+inline void or_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                       std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] |= src[i];
+}
 
-/// The kernel table of a specific tier (for the SIMD-vs-scalar
-/// equivalence tests). Requires supported(kind).
-[[nodiscard]] const Kernels& ops_for(Simd kind);
+/// dst |= a & b — the fused masked-BFS fold (frontier row ANDed with
+/// the member mask, ORed into the visited accumulator, one pass).
+inline void or_and(std::uint64_t* dst, const std::uint64_t* a,
+                   const std::uint64_t* b, std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] |= a[i] & b[i];
+}
 
-/// Currently active tier.
-[[nodiscard]] Simd active();
+/// dst &= ~src.
+inline void andnot_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                           std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) dst[i] &= ~src[i];
+}
 
-/// Whether this CPU can run `kind`.
-[[nodiscard]] bool supported(Simd kind);
+/// (a & ~b) == 0 over the span; stops at the first witness.
+inline bool subset(const std::uint64_t* a, const std::uint64_t* b,
+                   std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) {
+    if ((a[i] & ~b[i]) != 0) return false;
+  }
+  return true;
+}
 
-/// Best tier this CPU supports.
-[[nodiscard]] Simd best_supported();
+/// (a & b) != 0 anywhere in the span; stops at the first witness.
+inline bool intersects(const std::uint64_t* a, const std::uint64_t* b,
+                       std::size_t nw) {
+  for (std::size_t i = 0; i < nw; ++i) {
+    if ((a[i] & b[i]) != 0) return true;
+  }
+  return false;
+}
 
-/// Forces the active tier (tests / benches). Requires supported(kind).
-void force(Simd kind);
-
-/// "scalar" / "avx2" / "avx512".
-[[nodiscard]] const char* name(Simd kind);
-
-/// Parses an SSKEL_SIMD value: "auto" yields best_supported();
-/// "scalar"/"avx2"/"avx512" name a tier. Returns false (out
-/// untouched) on unknown text.
-[[nodiscard]] bool parse(const char* text, Simd& out);
-
-/// c += popcount(w[0..nw)). Scalar on purpose: hardware popcnt
-/// saturates one per cycle and the loop is memory-bound.
-[[nodiscard]] std::int64_t popcount(const std::uint64_t* w, std::size_t nw);
+/// Sum of popcount(w[0..nw)).
+inline std::int64_t popcount(const std::uint64_t* w, std::size_t nw) {
+  std::int64_t c = 0;
+  for (std::size_t i = 0; i < nw; ++i) c += std::popcount(w[i]);
+  return c;
+}
 
 /// summary[s] bit j = (words[s*64 + j] != 0), for ceil(nw/64) summary
 /// words; trailing summary bits beyond nw are zero.
-void build_summary(const std::uint64_t* words, std::size_t nw,
-                   std::uint64_t* summary);
+inline void build_summary(const std::uint64_t* words, std::size_t nw,
+                          std::uint64_t* summary) {
+  const std::size_t ns = (nw + 63) / 64;
+  for (std::size_t s = 0; s < ns; ++s) summary[s] = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    if (words[i] != 0) summary[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+}
+
+enum class Simd { kScalar };
+/// Kept only for skbench (frozen), which stamps name(active()).
+[[nodiscard]] constexpr Simd active() { return Simd::kScalar; }
+/// Kept only for skbench (frozen); always "scalar".
+[[nodiscard]] constexpr const char* name(Simd /*kind*/) { return "scalar"; }
 
 }  // namespace sskel::wk

@@ -554,6 +554,7 @@ TEST(CampaignSpecTest, RejectsBadInputWithLineNumbers) {
       {"k = 99999999999999999999\njob = partition trials=5\n", 1},  // ERANGE
       {"k = 2\nmax_rounds = 4294967296\n", 2},       // Round wrap
       {"k = 2\njob = partition trials=2 n=4294967300 m=2\n", 2},  // ProcId
+      {"k = 2\njob = rotating trials=2 n=131073\n", 2},  // decoder cap
       {"k = 2\njob = partition trials=99999999999999999999\n", 2},  // ERANGE
       {"k = 2\njob = partition trials=2 seed=99999999999999999999\n", 2},
       {"k = 2\njob = partition trials=2 seed=-1\n", 2},  // negated seed

@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "adversary/eventual.hpp"
@@ -180,8 +182,11 @@ std::unique_ptr<GraphSource> build_adversary(const CliArgs& args, int k,
 
 int cmd_run(const CliArgs& args) {
   const int k = k_flag(args);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
+  // A negative seed would wrap into the trace header's unsigned seed.
+  const std::optional<std::int64_t> seed_flag = args.get_int_in(
+      "seed", 1, 0, std::numeric_limits<std::int64_t>::max());
+  require_flag(seed_flag.has_value(), "--seed must be an integer >= 0");
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
   auto source = build_adversary(args, k, seed);
   const std::string record_path = args.get_string("record", "");
 
