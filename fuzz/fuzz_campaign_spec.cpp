@@ -4,12 +4,15 @@
 // parser. Properties:
 //   * a rejected spec carries a non-empty error and a line number in
 //     [0, number of lines] (0 = whole-file problem);
-//   * an accepted spec constructed every job's scenario — the parser's
-//     range and cross-field checks keep each constructor precondition
-//     (SSKEL_REQUIRE) unreachable — and its fingerprint() computes.
-// The canonical parse -> print -> parse law needs a spec printer,
-// which does not exist yet.
+//   * an accepted spec constructed every job's scenario — the parser
+//     and the constructors check the same parameter tables, so no
+//     constructor precondition (SSKEL_REQUIRE) is reachable — and its
+//     fingerprint() computes;
+//   * an accepted spec prints canonically, the printed text parses
+//     again, that parse prints to identical text, and the re-parsed
+//     spec has the same fingerprint().
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +40,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     SSKEL_REQUIRE(job.scenario != nullptr);
     SSKEL_REQUIRE(job.trials > 0);
   }
-  (void)spec.fingerprint();
+  const std::optional<std::string> printed = print_campaign_spec(spec);
+  SSKEL_REQUIRE(printed.has_value());
+  const SpecParseResult again = parse_campaign_spec(*printed);
+  SSKEL_REQUIRE(again.spec.has_value());
+  SSKEL_REQUIRE(print_campaign_spec(*again.spec) == printed);
+  SSKEL_REQUIRE(again.spec->fingerprint() == spec.fingerprint());
   return 0;
 }
 
@@ -66,4 +74,6 @@ extern "C" void sskel_fuzz_seed_corpus(
       "stabilize=4 seed=2 trials=10\n");
   add("job = crash name=c n=7 crashes=2 maxcrash=4 seed=3 trials=10\n");
   add("job = rotating name=s n=5 hold=2 seed=4 trials=10\n");
+  // One block per process at the universe cap: the whole block budget.
+  add("job = partition n=131072 m=131072 trials=1\n");
 }

@@ -1,15 +1,15 @@
 #include "campaign/spec.hpp"
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <set>
+#include <optional>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
-#include "adversary/crash.hpp"
-#include "adversary/rotating.hpp"
 #include "util/cli.hpp"
 #include "util/decode.hpp"
 
@@ -18,264 +18,230 @@ namespace sskel {
 namespace {
 
 [[nodiscard]] std::string trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && (std::isspace(static_cast<unsigned char>(s[begin])) !=
-                         0)) {
-    ++begin;
-  }
-  while (end > begin &&
-         (std::isspace(static_cast<unsigned char>(s[end - 1])) != 0)) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
+  const char* space = " \t\n\v\f\r";  // std::isspace in the C locale
+  const std::size_t begin = s.find_first_not_of(space);
+  if (begin == std::string::npos) return {};
+  return s.substr(begin, s.find_last_not_of(space) - begin + 1);
 }
-
-/// Inclusive value range of the integer type an attribute lands in.
-struct IntRange {
-  std::int64_t lo;
-  std::int64_t hi;
-};
-
-template <typename T>
-constexpr IntRange kRangeOf{std::numeric_limits<T>::min(),
-                            std::numeric_limits<T>::max()};
-
-/// Process counts are capped like the trace decoder's, so a
-/// violation artifact written by the campaign decodes again (and a
-/// partition's blocks are built at parse time, O(n) each).
-constexpr IntRange kUniverseRange{
-    0, static_cast<std::int64_t>(kMaxDecodeUniverse)};
 
 /// key=value attributes of a `job =` line, after the scenario word.
-class Attrs {
- public:
-  [[nodiscard]] bool parse(const std::string& text, std::string& error) {
-    std::istringstream in(text);
-    std::string token;
-    while (in >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-        error = "malformed attribute '" + token + "' (want key=value)";
-        return false;
-      }
-      values_[token.substr(0, eq)] = token.substr(eq + 1);
-    }
-    return true;
-  }
+/// Reading a key removes it, so whatever is left at the end is unknown.
+using Attrs = std::map<std::string, std::string>;
 
-  /// `range` is the destination type's (or kUniverseRange): semantic
-  /// bounds are the caller's to check, after the value is known to fit.
-  [[nodiscard]] bool get_int(const std::string& key, std::int64_t fallback,
-                             IntRange range, std::int64_t& out,
-                             std::string& error) {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      out = fallback;
-      return true;
+[[nodiscard]] std::string parse_attrs(const std::string& text, Attrs& attrs) {
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
+      return "malformed attribute '" + token + "' (want key=value)";
     }
-    consumed_.insert(it->first);
-    const std::optional<std::int64_t> value =
-        parse_int_in(it->second, range.lo, range.hi);
-    if (!value.has_value()) {
-      error = "attribute '" + key + "' is not an integer in [" +
-              std::to_string(range.lo) + ", " + std::to_string(range.hi) +
-              "]: " + it->second;
-      return false;
+    // A repeated key is a sweep-config typo, not an override.
+    if (!attrs.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
+      return "duplicate attribute '" + token.substr(0, eq) + "'";
     }
-    out = *value;
-    return true;
   }
-
-  [[nodiscard]] bool get_uint(const std::string& key, std::uint64_t fallback,
-                              std::uint64_t& out, std::string& error) {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      out = fallback;
-      return true;
-    }
-    consumed_.insert(it->first);
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoull(it->second.c_str(), &end, 10);
-    // strtoull accepts and negates a leading '-'; a seed never has one.
-    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE ||
-        it->second.find('-') != std::string::npos) {
-      error = "attribute '" + key + "' is not an unsigned 64-bit integer: " +
-              it->second;
-      return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool get_probability(const std::string& key,
-                                     double fallback, double& out,
-                                     std::string& error) {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      out = fallback;
-      return true;
-    }
-    consumed_.insert(it->first);
-    char* end = nullptr;
-    out = std::strtod(it->second.c_str(), &end);
-    // The negated test also rejects NaN.
-    if (end == it->second.c_str() || *end != '\0' ||
-        !(out >= 0.0 && out <= 1.0)) {
-      error = "attribute '" + key + "' is not a probability in [0, 1]: " +
-              it->second;
-      return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& fallback) {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(it->first);
-    return it->second;
-  }
-
-  /// Unknown attributes are typos in a sweep config — fail fast.
-  [[nodiscard]] bool check_consumed(std::string& error) const {
-    for (const auto& [key, value] : values_) {
-      if (consumed_.count(key) == 0) {
-        error = "unknown attribute '" + key + "'";
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> consumed_;
-};
-
-[[nodiscard]] bool parse_bool_value(const std::string& value, bool& out) {
-  if (value == "1" || value == "true") {
-    out = true;
-    return true;
-  }
-  if (value == "0" || value == "false") {
-    out = false;
-    return true;
-  }
-  return false;
+  return {};
 }
 
-[[nodiscard]] bool parse_job(const std::string& value, CampaignJob& job,
-                             std::string& error) {
-  std::istringstream in(value);
-  std::string kind;
-  if (!(in >> kind)) {
-    error = "job line missing scenario kind";
-    return false;
+[[nodiscard]] std::optional<std::string> take(Attrs& attrs,
+                                              const std::string& key) {
+  auto node = attrs.extract(key);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
+}
+
+[[nodiscard]] bool parse_number(const std::string& text, std::int64_t& out) {
+  const std::optional<std::int64_t> value =
+      parse_int_in(text, std::numeric_limits<std::int64_t>::min(),
+                   std::numeric_limits<std::int64_t>::max());
+  if (value.has_value()) out = *value;
+  return value.has_value();
+}
+
+[[nodiscard]] bool parse_number(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0';
+}
+
+[[nodiscard]] bool parse_number(const std::string& text, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(text.c_str(), &end, 10);
+  // strtoull accepts and negates a leading '-'; a seed never has one.
+  return end != text.c_str() && *end == '\0' && errno != ERANGE &&
+         text.find('-') == std::string::npos;
+}
+
+[[nodiscard]] bool parse_number(const std::string& text, bool& out) {
+  out = text == "1" || text == "true";
+  return out || text == "0" || text == "false";
+}
+
+/// Reads table fields (mc/scenario.hpp) off `attrs`: the key's text or
+/// the default, then the range. The first error sticks.
+struct FieldReader {
+  Attrs& attrs;
+  /// Blocks the spec's partition jobs may still ask for.
+  std::int64_t& blocks_left;
+  std::string& error;
+  /// Leave a field whose key is absent as it is (config lines).
+  bool keep_absent = false;
+
+  template <typename T>
+  void operator()(const ParamField& field, T& value) {
+    // An int reads as int64, so an out-of-range value cannot wrap.
+    using Wide = std::conditional_t<std::is_same_v<T, int>, std::int64_t, T>;
+    if (!error.empty()) return;
+    auto read = static_cast<Wide>(field.fallback);
+    const std::optional<std::string> text =
+        field.in_spec ? take(attrs, field.key) : std::nullopt;
+    if (!text.has_value() && keep_absent) return;
+    if (text.has_value() && !parse_number(*text, read)) {
+      error = std::string(field.key) + " is malformed: " + *text;
+      return;
+    }
+    error = field.error(static_cast<double>(read));
+    if (error.empty()) value = static_cast<T>(read);
   }
+
+  void operator()(const BlocksField& field, std::vector<ProcSet>& blocks) {
+    std::int64_t n = 0;
+    std::int64_t m = 0;
+    (*this)(field.n, n);
+    (*this)(field.m, m);
+    if (!error.empty()) return;
+    // Blocks are built at parse time, O(n) each: the spec's partition
+    // jobs share the decoder's universe cap as a block budget.
+    if (m > blocks_left) {
+      error = "partition jobs ask for more than " +
+              std::to_string(kMaxDecodeUniverse) + " blocks in total";
+      return;
+    }
+    blocks_left -= m;
+    error = field.error(n, m);
+    if (error.empty()) {
+      blocks = even_blocks(static_cast<ProcId>(n), static_cast<int>(m));
+    }
+  }
+
+  void operator()(const ParamRule& /*rule*/, bool /*holds*/) const {}
+};
+
+/// Prints table fields in order, as ` key=value` job attributes by
+/// default. Doubles take the shortest form strtod reads back exactly.
+struct FieldPrinter {
+  std::string& out;
+  const char* lead = " ";
+  const char* assign = "=";
+  const char* trail = "";
+
+  template <typename T>
+  void operator()(const ParamField& field, const T& value) const {
+    if (!field.in_spec) return;
+    out += lead + std::string(field.key) + assign;
+    if constexpr (std::is_floating_point_v<T>) {
+      char text[32];
+      out.append(text, std::to_chars(text, text + sizeof(text), value).ptr);
+    } else {
+      out += std::to_string(value);
+    }
+    out += trail;
+  }
+
+  void operator()(const BlocksField& field,
+                  const std::vector<ProcSet>& blocks) const {
+    (*this)(field.n, blocks.front().universe());
+    (*this)(field.m, blocks.size());
+  }
+
+  void operator()(const ParamRule& /*rule*/, bool /*holds*/) const {}
+};
+
+/// The config keys except guard, as a table over KSetRunConfig.
+template <typename Config, typename Visit>
+void for_each_config_field(Config& config, Visit&& visit) {
+  visit(ParamField{"k", 1, kMaxInt, 1}, config.k);
+  visit(ParamField{"max_rounds", 0, kMaxInt, 0}, config.max_rounds);  // 0: auto
+  visit(ParamField{"tail_rounds", 0, kMaxInt, 0}, config.tail_rounds);
+  visit(ParamField{"measure_bytes", 0, 1, 0}, config.measure_bytes);
+  visit(ParamField{"lemma_monitor", 0, 1, 0}, config.attach_lemma_monitor);
+}
+
+/// The attributes of every job line besides name and the scenario's.
+template <typename Job, typename Visit>
+void for_each_job_field(Job& job, Visit&& visit) {
+  visit(ParamField{"seed", 0, 0x1p64, 0}, job.master_seed);
+  visit(ParamField{"trials", 1, 0x1p63, 0}, job.trials);
+}
+
+/// Calls `visit(word, std::type_identity<Scenario>{})` for each
+/// scenario kind a `job =` line can name, until one returns true.
+/// NetScenario has no spec form.
+template <typename Visit>
+bool for_each_kind(Visit&& visit) {
+  return visit("partition", std::type_identity<PartitionScenario>{}) ||
+         visit("random-psrcs", std::type_identity<RandomPsrcsScenario>{}) ||
+         visit("crash", std::type_identity<CrashScenario>{}) ||
+         visit("rotating", std::type_identity<RotatingScenario>{});
+}
+
+/// Parses the text after `job =`; returns the error, empty on success.
+[[nodiscard]] std::string parse_job(const std::string& value,
+                                    std::int64_t& blocks_left,
+                                    CampaignJob& job) {
+  std::istringstream in(value);
+  std::string word;
+  if (!(in >> word)) return "job line missing scenario kind";
   std::string rest;
   std::getline(in, rest);
 
   Attrs attrs;
-  if (!attrs.parse(rest, error)) return false;
+  std::string error = parse_attrs(rest, attrs);
+  if (error.empty()) {
+    for_each_job_field(job, FieldReader{attrs, blocks_left, error});
+  }
+  if (!error.empty()) return error;
+  job.name = take(attrs, "name").value_or(word);
+  const bool known = for_each_kind([&](const char* kind, auto scenario) {
+    if (word != kind) return false;
+    using Scenario = typename decltype(scenario)::type;
+    typename Scenario::Params params;
+    for_each_field(params, FieldReader{attrs, blocks_left, error});
+    if (error.empty()) error = validate(params);
+    if (error.empty()) job.scenario = std::make_shared<Scenario>(params);
+    return true;
+  });
+  if (!known) return "unknown scenario kind '" + word + "'";
+  if (error.empty() && !attrs.empty()) {
+    // Unknown attributes are typos in a sweep config — fail fast.
+    error = "unknown attribute '" + attrs.begin()->first + "'";
+  }
+  return error;
+}
 
-  std::int64_t trials = 0;
-  std::uint64_t seed = 0;
-  if (!attrs.get_int("trials", 0, kRangeOf<std::int64_t>, trials, error) ||
-      !attrs.get_uint("seed", 0, seed, error)) {
-    return false;
+/// Applies one `key = value` config line; returns the error, empty on
+/// success.
+[[nodiscard]] std::string read_config(const std::string& key,
+                                      const std::string& value,
+                                      KSetRunConfig& config) {
+  if (key == "guard") {
+    if (value != "after-round-n" && value != "at-round-n") {
+      return "guard must be after-round-n or at-round-n";
+    }
+    config.guard = value == "at-round-n" ? DecisionGuard::kAtRoundN
+                                         : DecisionGuard::kAfterRoundN;
+    return {};
   }
-  if (trials <= 0) {
-    error = "job needs trials > 0";
-    return false;
+  Attrs attrs{{key, value}};
+  std::int64_t no_blocks = 0;
+  std::string error;
+  for_each_config_field(config, FieldReader{attrs, no_blocks, error, true});
+  if (error.empty() && !attrs.empty()) {
+    error = "unknown config key '" + key + "'";
   }
-  job.master_seed = seed;
-  job.trials = trials;
-  job.name = attrs.get_string("name", kind);
-
-  if (kind == "partition") {
-    std::int64_t n = 0;
-    std::int64_t m = 0;
-    double noise = 0.0;
-    std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 4, kUniverseRange, n, error) ||
-        !attrs.get_int("m", 2, kRangeOf<int>, m, error) ||
-        !attrs.get_probability("noise", 0.0, noise, error) ||
-        !attrs.get_int("stabilize", 1, kRangeOf<Round>, stabilize, error)) {
-      return false;
-    }
-    if (n < 1 || m < 1 || m > n || stabilize < 1) {
-      error = "partition needs 1 <= m <= n and stabilize >= 1";
-      return false;
-    }
-    PartitionParams params;
-    params.blocks = even_blocks(static_cast<ProcId>(n), static_cast<int>(m));
-    params.cross_noise_probability = noise;
-    params.stabilization_round = static_cast<Round>(stabilize);
-    job.scenario = std::make_shared<PartitionScenario>(std::move(params));
-  } else if (kind == "random-psrcs") {
-    std::int64_t n = 0;
-    std::int64_t k = 0;
-    std::int64_t roots = 0;
-    std::int64_t maxcore = 0;
-    double noise = 0.0;
-    std::int64_t stabilize = 1;
-    if (!attrs.get_int("n", 8, kUniverseRange, n, error) ||
-        !attrs.get_int("k", 2, kRangeOf<int>, k, error) ||
-        !attrs.get_int("roots", 2, kRangeOf<int>, roots, error) ||
-        !attrs.get_int("maxcore", 3, kRangeOf<int>, maxcore, error) ||
-        !attrs.get_probability("noise", 0.25, noise, error) ||
-        !attrs.get_int("stabilize", 1, kRangeOf<Round>, stabilize, error)) {
-      return false;
-    }
-    if (n < 1 || k < 1 || roots < 1 || roots > k || roots > n ||
-        maxcore < 1 || stabilize < 1) {
-      error =
-          "random-psrcs needs n,k,maxcore >= 1 and 1 <= roots <= min(k, n)";
-      return false;
-    }
-    RandomPsrcsParams params;
-    params.n = static_cast<ProcId>(n);
-    params.k = static_cast<int>(k);
-    params.root_components = static_cast<int>(roots);
-    params.max_core_size = static_cast<int>(maxcore);
-    params.noise_probability = noise;
-    params.stabilization_round = static_cast<Round>(stabilize);
-    job.scenario = std::make_shared<RandomPsrcsScenario>(params);
-  } else if (kind == "crash") {
-    std::int64_t n = 0;
-    std::int64_t crashes = 0;
-    std::int64_t maxcrash = 0;
-    if (!attrs.get_int("n", 5, kUniverseRange, n, error) ||
-        !attrs.get_int("crashes", 1, kRangeOf<int>, crashes, error) ||
-        !attrs.get_int("maxcrash", 3, kRangeOf<Round>, maxcrash, error)) {
-      return false;
-    }
-    if (n < 1 || crashes < 0 || crashes >= n || maxcrash < 1) {
-      error = "crash needs 0 <= crashes < n and maxcrash >= 1";
-      return false;
-    }
-    job.scenario = std::make_shared<CrashScenario>(
-        static_cast<ProcId>(n), static_cast<int>(crashes),
-        static_cast<Round>(maxcrash));
-  } else if (kind == "rotating") {
-    std::int64_t n = 0;
-    std::int64_t hold = 0;
-    if (!attrs.get_int("n", 4, kUniverseRange, n, error) ||
-        !attrs.get_int("hold", 1, kRangeOf<Round>, hold, error)) {
-      return false;
-    }
-    if (n < 1 || hold < 1) {
-      error = "rotating needs n >= 1 and hold >= 1";
-      return false;
-    }
-    job.scenario = std::make_shared<RotatingScenario>(
-        static_cast<ProcId>(n), static_cast<Round>(hold));
-  } else {
-    error = "unknown scenario kind '" + kind + "'";
-    return false;
-  }
-  return attrs.check_consumed(error);
+  return error;
 }
 
 }  // namespace
@@ -283,6 +249,7 @@ class Attrs {
 SpecParseResult parse_campaign_spec(const std::string& text) {
   SpecParseResult result;
   CampaignSpec spec;
+  std::int64_t blocks_left = kMaxDecodeUniverse;
 
   std::istringstream in(text);
   std::string raw;
@@ -295,78 +262,18 @@ SpecParseResult parse_campaign_spec(const std::string& text) {
     if (line.empty()) continue;
 
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      result.error = "expected 'key = value'";
-      result.line = line_no;
-      return result;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    std::string error;
-
-    if (key == "job") {
-      CampaignJob job;
-      if (!parse_job(value, job, error)) {
-        result.error = error;
-        result.line = line_no;
-        return result;
-      }
-      spec.jobs.push_back(std::move(job));
-    } else if (key == "k") {
-      const std::optional<std::int64_t> k =
-          parse_int_in(value, 1, kRangeOf<int>.hi);
-      if (!k.has_value()) {
-        result.error = "k must be an integer in [1, " +
-                       std::to_string(kRangeOf<int>.hi) + "]";
-        result.line = line_no;
-        return result;
-      }
-      spec.config.k = static_cast<int>(*k);
-    } else if (key == "guard") {
-      if (value == "after-round-n") {
-        spec.config.guard = DecisionGuard::kAfterRoundN;
-      } else if (value == "at-round-n") {
-        spec.config.guard = DecisionGuard::kAtRoundN;
+    std::string error = "expected 'key = value'";
+    if (eq != std::string::npos) {
+      const std::string key = trim(line.substr(0, eq));
+      const std::string value = trim(line.substr(eq + 1));
+      if (key == "job") {
+        error = parse_job(value, blocks_left, spec.jobs.emplace_back());
       } else {
-        result.error = "guard must be after-round-n or at-round-n";
-        result.line = line_no;
-        return result;
+        error = read_config(key, value, spec.config);
       }
-    } else if (key == "max_rounds") {
-      const std::optional<std::int64_t> rounds =
-          parse_int_in(value, 0, kRangeOf<Round>.hi);
-      if (!rounds.has_value()) {
-        result.error = "max_rounds must be an integer in [0, " +
-                       std::to_string(kRangeOf<Round>.hi) +
-                       "] (0 = automatic)";
-        result.line = line_no;
-        return result;
-      }
-      spec.config.max_rounds = static_cast<Round>(*rounds);
-    } else if (key == "tail_rounds") {
-      const std::optional<std::int64_t> rounds =
-          parse_int_in(value, 0, kRangeOf<Round>.hi);
-      if (!rounds.has_value()) {
-        result.error = "tail_rounds must be an integer in [0, " +
-                       std::to_string(kRangeOf<Round>.hi) + "]";
-        result.line = line_no;
-        return result;
-      }
-      spec.config.tail_rounds = static_cast<Round>(*rounds);
-    } else if (key == "measure_bytes") {
-      if (!parse_bool_value(value, spec.config.measure_bytes)) {
-        result.error = "measure_bytes must be 0/1/true/false";
-        result.line = line_no;
-        return result;
-      }
-    } else if (key == "lemma_monitor") {
-      if (!parse_bool_value(value, spec.config.attach_lemma_monitor)) {
-        result.error = "lemma_monitor must be 0/1/true/false";
-        result.line = line_no;
-        return result;
-      }
-    } else {
-      result.error = "unknown config key '" + key + "'";
+    }
+    if (!error.empty()) {
+      result.error = std::move(error);
       result.line = line_no;
       return result;
     }
@@ -374,11 +281,40 @@ SpecParseResult parse_campaign_spec(const std::string& text) {
 
   if (spec.jobs.empty()) {
     result.error = "spec has no jobs";
-    result.line = 0;
     return result;
   }
   result.spec = std::move(spec);
   return result;
+}
+
+std::optional<std::string> print_campaign_spec(const CampaignSpec& spec) {
+  std::string out = std::string("guard = ") +
+                    (spec.config.guard == DecisionGuard::kAtRoundN
+                         ? "at-round-n\n"
+                         : "after-round-n\n");
+  for_each_config_field(spec.config, FieldPrinter{out, "", " = ", "\n"});
+  for (const CampaignJob& job : spec.jobs) {
+    const bool known = for_each_kind([&](const char* kind, auto scenario) {
+      using Scenario = typename decltype(scenario)::type;
+      const auto* typed = dynamic_cast<const Scenario*>(job.scenario.get());
+      if (typed == nullptr) return false;
+      out += "job = " + std::string(kind) + " name=" + job.name;
+      for_each_field(typed->params(), FieldPrinter{out});
+      for_each_job_field(job, FieldPrinter{out});
+      out += '\n';
+      return true;
+    });
+    if (!known) return std::nullopt;
+  }
+  // Code can build what the grammar cannot say (code-only fields,
+  // uneven blocks, a name with blanks, proposals): the text is the
+  // spec's canonical form only if it reads back to the same identity.
+  const SpecParseResult again = parse_campaign_spec(out);
+  if (!again.spec.has_value() ||
+      again.spec->fingerprint() != spec.fingerprint()) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace sskel

@@ -15,10 +15,19 @@
 // Config keys: k, guard (after-round-n | at-round-n), max_rounds,
 // tail_rounds, measure_bytes (0/1), lemma_monitor (0/1).
 //
-// Integers must fit the type they land in (int, ProcId or Round —
-// nothing wraps or saturates), n is at most 131,072 (the trace
-// decoder's universe cap), probabilities (noise) lie in [0, 1], and
-// random-psrcs needs roots <= min(k, n).
+// Every job takes name (default: the kind word), seed (unsigned
+// 64-bit, default 0) and trials (>= 1, required). The scenario
+// attributes, their ranges and defaults, and the cross-field rules
+// (random-psrcs roots <= min(k, n), crash crashes < n, partition
+// m <= n) are the scenario's declared table in
+// adversary/scenario_params.hpp, which the scenario constructors and
+// `sskel run` check too. n is at most 131,072, the trace decoder's
+// universe cap. Integers must fit their range (nothing wraps or
+// saturates) and probabilities (noise) lie in [0, 1].
+//
+// An attribute may appear once per job line. A partition job's blocks
+// are built at parse time, so the partition jobs of one spec may ask
+// for at most 131,072 blocks (the sum of m) in total.
 //
 // Parsing never aborts on bad input — specs are user files; errors
 // come back with the offending line number so the CLI can point at
@@ -42,5 +51,14 @@ struct SpecParseResult {
 };
 
 [[nodiscard]] SpecParseResult parse_campaign_spec(const std::string& text);
+
+/// The canonical text of `spec`: every config key, then one job line
+/// per job with name, every table attribute in table order, seed and
+/// trials. It parses back to a spec with the same fingerprint() and
+/// prints identically again. nullopt when the grammar cannot say what
+/// `spec` holds: a NetScenario, a code-only field off its default,
+/// uneven blocks, a name with blanks, explicit proposals.
+[[nodiscard]] std::optional<std::string> print_campaign_spec(
+    const CampaignSpec& spec);
 
 }  // namespace sskel

@@ -1,14 +1,12 @@
 #include "mc/scenario.hpp"
 
 #include <atomic>
-#include <bit>
+#include <charconv>
 #include <memory>
 #include <utility>
 
 #include "adversary/crash.hpp"
 #include "adversary/rotating.hpp"
-#include "util/assert.hpp"
-#include "util/varint.hpp"
 
 namespace sskel {
 
@@ -20,20 +18,42 @@ ScenarioTrial from_report(KSetRunReport report) {
   return trial;
 }
 
-/// append_fingerprint helpers: integers go through the varint (the
-/// fingerprint is hashed, only injectivity per scenario matters),
-/// doubles through their exact bit pattern.
-void fp_int(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_varint(out, static_cast<std::uint64_t>(v));
-}
-
-void fp_double(std::vector<std::uint8_t>& out, double v) {
-  put_varint(out, std::bit_cast<std::uint64_t>(v));
-}
-
 std::atomic<std::uint64_t> next_simulator_scenario_id{1};
 
 }  // namespace
+
+std::string ParamField::error(double value) const {
+  if (value >= lo && value <= hi) return {};
+  const auto number = [](double v) {
+    char text[32];
+    return std::string(text, std::to_chars(text, text + sizeof(text), v).ptr);
+  };
+  return std::string(key) + " must be in [" + number(lo) + ", " + number(hi) +
+         "], not " + number(value);
+}
+
+std::string BlocksField::error(std::int64_t processes,
+                               std::int64_t blocks) const {
+  std::string error = n.error(static_cast<double>(processes));
+  if (error.empty()) error = m.error(static_cast<double>(blocks));
+  if (error.empty() && blocks > processes) error = "partition needs m <= n";
+  return error;
+}
+
+std::string BlocksField::error(const std::vector<ProcSet>& blocks) const {
+  return error(blocks.empty() ? 0 : blocks.front().universe(),
+               static_cast<std::int64_t>(blocks.size()));
+}
+
+void put_field(std::vector<std::uint8_t>& out,
+               const std::vector<ProcSet>& blocks) {
+  put_field(out, blocks.front().universe());
+  put_field(out, blocks.size());
+  for (const ProcSet& block : blocks) {
+    put_field(out, block.count());
+    for (const ProcId p : block) put_field(out, p);
+  }
+}
 
 SimulatorScenario::SimulatorScenario()
     : id_(next_simulator_scenario_id.fetch_add(1,
@@ -67,41 +87,11 @@ GraphSource& RandomPsrcsScenario::source(
   return *slot;
 }
 
-void RandomPsrcsScenario::append_fingerprint(
-    std::vector<std::uint8_t>& out) const {
-  fp_int(out, params_.n);
-  fp_int(out, params_.k);
-  fp_int(out, params_.root_components);
-  fp_int(out, params_.max_core_size);
-  fp_double(out, params_.noise_probability);
-  fp_int(out, params_.stabilization_round);
-  fp_int(out, params_.noise_after_stabilization ? 1 : 0);
-  fp_double(out, params_.follower_edge_probability);
-}
-
-CrashScenario::CrashScenario(ProcId n, int crashes, Round max_crash_round)
-    : n_(n), crashes_(crashes), max_crash_round_(max_crash_round) {
-  SSKEL_REQUIRE(n_ > 0);
-  SSKEL_REQUIRE(crashes_ >= 0 && static_cast<ProcId>(crashes_) < n_);
-  SSKEL_REQUIRE(max_crash_round_ >= 1);
-}
-
 GraphSource& CrashScenario::source(std::uint64_t seed,
                                    std::unique_ptr<GraphSource>& slot) const {
-  slot = make_random_crash_source(seed, n_, crashes_, max_crash_round_);
+  slot = make_random_crash_source(seed, params_.n, params_.crashes,
+                                  params_.max_crash_round);
   return *slot;
-}
-
-void CrashScenario::append_fingerprint(std::vector<std::uint8_t>& out) const {
-  fp_int(out, n_);
-  fp_int(out, crashes_);
-  fp_int(out, max_crash_round_);
-}
-
-PartitionScenario::PartitionScenario(PartitionParams params)
-    : params_(std::move(params)), n_(0) {
-  SSKEL_REQUIRE(!params_.blocks.empty());
-  n_ = params_.blocks.front().universe();
 }
 
 GraphSource& PartitionScenario::source(
@@ -118,38 +108,12 @@ GraphSource& PartitionScenario::source(
   return *slot;
 }
 
-void PartitionScenario::append_fingerprint(
-    std::vector<std::uint8_t>& out) const {
-  fp_int(out, n_);
-  fp_int(out, static_cast<std::int64_t>(params_.blocks.size()));
-  for (const ProcSet& block : params_.blocks) {
-    fp_int(out, block.count());
-    for (ProcId p = 0; p < n_; ++p) {
-      if (block.contains(p)) fp_int(out, p);
-    }
-  }
-  fp_double(out, params_.cross_noise_probability);
-  fp_int(out, params_.stabilization_round);
-}
-
-RotatingScenario::RotatingScenario(ProcId n, Round hold)
-    : n_(n), hold_(hold) {
-  SSKEL_REQUIRE(n_ > 0);
-  SSKEL_REQUIRE(hold_ >= 1);
-}
-
 GraphSource& RotatingScenario::source(
     std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const {
   const ProcId first_center =
-      static_cast<ProcId>(seed % static_cast<std::uint64_t>(n_));
-  slot = make_rotating_star_source(n_, hold_, first_center);
+      static_cast<ProcId>(seed % static_cast<std::uint64_t>(params_.n));
+  slot = make_rotating_star_source(params_.n, params_.hold, first_center);
   return *slot;
-}
-
-void RotatingScenario::append_fingerprint(
-    std::vector<std::uint8_t>& out) const {
-  fp_int(out, n_);
-  fp_int(out, hold_);
 }
 
 NetScenario::NetScenario(LinkMatrix links, NetConfig net)
@@ -179,24 +143,24 @@ ScenarioTrial NetScenario::run_trial(std::uint64_t seed,
 
 void NetScenario::append_fingerprint(std::vector<std::uint8_t>& out) const {
   const ProcId n = links_.n();
-  fp_int(out, n);
+  put_field(out, n);
   for (ProcId q = 0; q < n; ++q) {
     for (ProcId p = 0; p < n; ++p) {
       const LinkSpec& spec = links_.at(q, p);
-      fp_int(out, static_cast<std::int64_t>(spec.kind));
-      fp_int(out, spec.min_delay);
-      fp_int(out, spec.max_delay);
-      fp_double(out, spec.on_time_probability);
+      put_field(out, spec.kind);
+      put_field(out, spec.min_delay);
+      put_field(out, spec.max_delay);
+      put_field(out, spec.on_time_probability);
     }
   }
-  fp_int(out, net_.round_duration);
-  fp_int(out, static_cast<std::int64_t>(net_.skews.size()));
-  for (const SimTime skew : net_.skews) fp_int(out, skew);
+  put_field(out, net_.round_duration);
+  put_field(out, net_.skews.size());
+  for (const SimTime skew : net_.skews) put_field(out, skew);
   // net_.seed is excluded: the trial seed overrides it per trial.
-  fp_int(out, static_cast<std::int64_t>(net_.plane));
+  put_field(out, net_.plane);
   // Retired ring-depth slot: a constant keeps checkpoint fingerprints
   // stable across the ring layer's removal.
-  fp_int(out, 0);
+  put_field(out, 0);
 }
 
 }  // namespace sskel

@@ -9,10 +9,16 @@
 // results are reproducible and thread-count independent.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "adversary/partition.hpp"
@@ -22,6 +28,9 @@
 #include "net/kset_net.hpp"
 #include "net/link.hpp"
 #include "rounds/trace.hpp"
+#include "util/assert.hpp"
+#include "util/decode.hpp"
+#include "util/varint.hpp"
 
 namespace sskel {
 
@@ -142,85 +151,217 @@ class SimulatorScenario : public ScenarioFactory {
   std::uint64_t id_;
 };
 
+// One declared parameter table per Simulator scenario: each field's
+// descriptor and member in fingerprint order, then the cross-field
+// rules, handed to a visitor. The spec parser and printer, the
+// constructors' precondition and fingerprint, and `sskel run` all walk
+// it, so what one accepts the others accept too.
+
+/// A number field: spec key, inclusive range, spec default.
+struct ParamField {
+  const char* key;
+  double lo;
+  double hi;
+  double fallback;
+  /// False: only code sets the field; a spec always gets `fallback`.
+  bool in_spec = true;
+
+  /// Empty iff `value` lies in [lo, hi] (NaN does not); else why not.
+  [[nodiscard]] std::string error(double value) const;
+};
+
+/// A partition's blocks: even_blocks(n, m) from a spec, any partition
+/// from code (PartitionSource checks that it is one). Fingerprinted as
+/// universe, block count, then each block's count and members.
+struct BlocksField {
+  ParamField n;
+  ParamField m;
+
+  /// Empty iff n and m lie in their ranges and m <= n.
+  [[nodiscard]] std::string error(std::int64_t processes,
+                                  std::int64_t blocks) const;
+  [[nodiscard]] std::string error(const std::vector<ProcSet>& blocks) const;
+};
+
+/// A cross-field rule, visited with whether it holds.
+struct ParamRule {
+  const char* message;
+
+  [[nodiscard]] std::string error(bool holds) const {
+    return holds ? std::string() : message;
+  }
+};
+
+struct CrashParams {
+  ProcId n = 5;
+  int crashes = 1;
+  Round max_crash_round = 3;
+};
+
+struct RotatingParams {
+  ProcId n = 4;
+  Round hold = 1;
+};
+
+inline constexpr double kMaxInt = std::numeric_limits<int>::max();
+/// The trace decoder's cap, so a campaign's artifacts decode again.
+inline constexpr double kMaxProcesses = kMaxDecodeUniverse;
+inline constexpr BlocksField kPartitionBlocks{{"n", 1, kMaxProcesses, 4},
+                                              {"m", 1, kMaxInt, 2}};
+
+template <typename P, typename Params>
+concept ParamsOf = std::same_as<std::remove_const_t<P>, Params>;
+
+template <ParamsOf<PartitionParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(kPartitionBlocks, params.blocks);
+  visit(ParamField{"noise", 0, 1, 0.0}, params.cross_noise_probability);
+  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
+}
+
+template <ParamsOf<RandomPsrcsParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxProcesses, 8}, params.n);
+  visit(ParamField{"k", 1, kMaxInt, 2}, params.k);
+  visit(ParamField{"roots", 1, kMaxInt, 2}, params.root_components);
+  visit(ParamField{"maxcore", 1, kMaxInt, 3}, params.max_core_size);
+  visit(ParamField{"noise", 0, 1, 0.25}, params.noise_probability);
+  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
+  visit(ParamField{"noise_after_stabilization", 0, 1, 1, false},
+        params.noise_after_stabilization);
+  visit(ParamField{"follower_edge_probability", 0, 1, 0.15, false},
+        params.follower_edge_probability);
+  visit(ParamRule{"random-psrcs needs roots <= min(k, n)"},
+        params.root_components <= std::min(params.k, params.n));
+}
+
+template <ParamsOf<CrashParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxProcesses, 5}, params.n);
+  visit(ParamField{"crashes", 0, kMaxInt, 1}, params.crashes);
+  visit(ParamField{"maxcrash", 1, kMaxInt, 3}, params.max_crash_round);
+  visit(ParamRule{"crash needs crashes < n"}, params.crashes < params.n);
+}
+
+template <ParamsOf<RotatingParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxProcesses, 4}, params.n);
+  visit(ParamField{"hold", 1, kMaxInt, 1}, params.hold);
+}
+
+/// Empty iff every field lies in its range and every rule holds;
+/// otherwise the first violation. Allocation-free on valid input.
+template <typename Params>
+[[nodiscard]] std::string validate(const Params& params) {
+  std::string error;
+  for_each_field(params, [&error](const auto& field, const auto& value) {
+    if (error.empty()) error = field.error(value);
+  });
+  return error;
+}
+
+/// Fingerprint bytes of a field: integers as varints, doubles by their
+/// exact bit pattern.
+template <typename T>
+void put_field(std::vector<std::uint8_t>& out, const T& value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    put_varint(out, std::bit_cast<std::uint64_t>(value));
+  } else {
+    put_varint(out, static_cast<std::uint64_t>(value));
+  }
+}
+void put_field(std::vector<std::uint8_t>& out,
+               const std::vector<ProcSet>& blocks);
+
+/// A Simulator scenario over one declared table: bad parameters abort
+/// in the constructor, not on a tile thread at the first trial.
+template <typename P>
+class TabledScenario : public SimulatorScenario {
+ public:
+  using Params = P;
+
+  void append_fingerprint(std::vector<std::uint8_t>& out) const final {
+    for_each_field(params_, [&out](const auto& field, const auto& value) {
+      if constexpr (!std::is_same_v<decltype(field), const ParamRule&>) {
+        put_field(out, value);
+      }
+    });
+  }
+
+  [[nodiscard]] const Params& params() const { return params_; }
+
+ protected:
+  explicit TabledScenario(Params params) : params_(std::move(params)) {
+    SSKEL_REQUIRE(validate(params_).empty());
+  }
+
+  Params params_;
+};
+
 /// Random graphs satisfying Psrcs(k) by construction (experiments E2,
 /// E4, E5, E8). The seed picks cores, hubs and noise.
-class RandomPsrcsScenario final : public SimulatorScenario {
+class RandomPsrcsScenario final : public TabledScenario<RandomPsrcsParams> {
  public:
   explicit RandomPsrcsScenario(RandomPsrcsParams params)
-      : params_(params) {}
+      : TabledScenario(params) {}
 
   [[nodiscard]] std::string name() const override { return "random-psrcs"; }
   [[nodiscard]] ProcId n() const override { return params_.n; }
-  void append_fingerprint(std::vector<std::uint8_t>& out) const override;
-
-  [[nodiscard]] const RandomPsrcsParams& params() const { return params_; }
 
  protected:
   [[nodiscard]] GraphSource& source(
       std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
-
- private:
-  RandomPsrcsParams params_;
 };
 
 /// Classic synchronous crash failures (experiment E7's model): the
 /// seed picks victims, crash rounds and partial-broadcast receivers.
-class CrashScenario final : public SimulatorScenario {
+class CrashScenario final : public TabledScenario<CrashParams> {
  public:
-  CrashScenario(ProcId n, int crashes, Round max_crash_round);
+  explicit CrashScenario(CrashParams params) : TabledScenario(params) {}
+  CrashScenario(ProcId n, int crashes, Round max_crash_round)
+      : CrashScenario(CrashParams{n, crashes, max_crash_round}) {}
 
   [[nodiscard]] std::string name() const override { return "crash"; }
-  [[nodiscard]] ProcId n() const override { return n_; }
-  void append_fingerprint(std::vector<std::uint8_t>& out) const override;
+  [[nodiscard]] ProcId n() const override { return params_.n; }
 
  protected:
   [[nodiscard]] GraphSource& source(
       std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
-
- private:
-  ProcId n_;
-  int crashes_;
-  Round max_crash_round_;
 };
 
 /// Partitioned systems (the paper's motivating k > 1 scenario): fixed
 /// blocks, seeded transient cross-block noise.
-class PartitionScenario final : public SimulatorScenario {
+class PartitionScenario final : public TabledScenario<PartitionParams> {
  public:
-  explicit PartitionScenario(PartitionParams params);
+  explicit PartitionScenario(PartitionParams params)
+      : TabledScenario(std::move(params)) {}
 
   [[nodiscard]] std::string name() const override { return "partition"; }
-  [[nodiscard]] ProcId n() const override { return n_; }
-  void append_fingerprint(std::vector<std::uint8_t>& out) const override;
+  [[nodiscard]] ProcId n() const override {
+    return params_.blocks.front().universe();
+  }
 
  protected:
   [[nodiscard]] GraphSource& source(
       std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
-
- private:
-  PartitionParams params_;
-  ProcId n_;
 };
 
 /// Rotating stars (experiment E12): per-round synchrony with zero
 /// perpetual synchrony. Deterministic per trial except the initial
 /// center, which the seed picks — Psrcs fails by design, so this is
 /// the engine's negative control.
-class RotatingScenario final : public SimulatorScenario {
+class RotatingScenario final : public TabledScenario<RotatingParams> {
  public:
-  explicit RotatingScenario(ProcId n, Round hold = 1);
+  explicit RotatingScenario(RotatingParams params) : TabledScenario(params) {}
+  explicit RotatingScenario(ProcId n, Round hold = 1)
+      : RotatingScenario(RotatingParams{n, hold}) {}
 
   [[nodiscard]] std::string name() const override { return "rotating-star"; }
-  [[nodiscard]] ProcId n() const override { return n_; }
-  void append_fingerprint(std::vector<std::uint8_t>& out) const override;
+  [[nodiscard]] ProcId n() const override { return params_.n; }
 
  protected:
   [[nodiscard]] GraphSource& source(
       std::uint64_t seed, std::unique_ptr<GraphSource>& slot) const override;
-
- private:
-  ProcId n_;
-  Round hold_;
 };
 
 /// Network-backed trials (experiment E11): Algorithm 1 over the

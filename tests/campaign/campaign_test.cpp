@@ -2,9 +2,8 @@
 // lands bit-identically on the uninterrupted run across tile counts
 // and kill points (including a job boundary), torn checkpoint files
 // fall back to the surviving twin, misbehaving trials self-archive as
-// replayable SSKT captures, the spec parser accepts the documented
-// grammar and rejects everything else, and streaming progress records
-// tick monotonically.
+// replayable SSKT captures, and streaming progress records tick
+// monotonically. The spec parser has its own file (spec_test.cpp).
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 
 #include "adversary/crash.hpp"
 #include "adversary/partition.hpp"
-#include "campaign/spec.hpp"
 #include "kset/runner.hpp"
 #include "rounds/record.hpp"
 #include "rounds/trace.hpp"
@@ -500,78 +498,6 @@ TEST(CampaignTest, TerminalProgressRecordReportsTheInterruptedJob) {
   EXPECT_EQ(last.trials_done, 10);
   EXPECT_EQ(last.trials_total, 60);
   EXPECT_EQ(last.campaign_trials_done, 10);
-}
-
-TEST(CampaignSpecTest, ParsesTheDocumentedGrammar) {
-  const std::string text =
-      "# converged partition sweep\n"
-      "k = 2\n"
-      "guard = at-round-n\n"
-      "max_rounds = 30\n"
-      "measure_bytes = 1\n"
-      "\n"
-      "job = partition name=conv n=4 m=2 noise=0 stabilize=1 seed=42 "
-      "trials=500\n"
-      "job = random-psrcs name=rp n=6 k=2 roots=2 seed=7 trials=20\n"
-      "job = crash name=cr n=5 crashes=1 maxcrash=3 seed=9 trials=20\n"
-      "job = rotating name=rot n=4 hold=1 seed=3 trials=5\n";
-  const SpecParseResult parsed = parse_campaign_spec(text);
-  ASSERT_TRUE(parsed.spec.has_value()) << parsed.error;
-  const CampaignSpec& spec = *parsed.spec;
-  EXPECT_EQ(spec.config.k, 2);
-  EXPECT_EQ(spec.config.guard, DecisionGuard::kAtRoundN);
-  EXPECT_EQ(spec.config.max_rounds, 30);
-  EXPECT_TRUE(spec.config.measure_bytes);
-  ASSERT_EQ(spec.jobs.size(), 4u);
-  EXPECT_EQ(spec.jobs[0].name, "conv");
-  EXPECT_EQ(spec.jobs[0].master_seed, 42u);
-  EXPECT_EQ(spec.jobs[0].trials, 500);
-  EXPECT_EQ(spec.jobs[0].scenario->name(), "partition");
-  EXPECT_EQ(spec.jobs[1].scenario->name(), "random-psrcs");
-  EXPECT_EQ(spec.jobs[2].scenario->name(), "crash");
-  EXPECT_EQ(spec.jobs[3].scenario->name(), "rotating-star");
-}
-
-TEST(CampaignSpecTest, RejectsBadInputWithLineNumbers) {
-  const struct {
-    const char* text;
-    int line;
-  } cases[] = {
-      {"k = 0\njob = partition trials=5\n", 1},       // k out of range
-      {"k = abc\njob = partition trials=5\n", 1},     // k not an integer
-      {"k = 2\nmax_rounds = soon\n", 2},              // garbage int
-      {"k = 2\nmax_rounds = -1\n", 2},                // negative rounds
-      {"k = 2\ntail_rounds = 3x\n", 2},               // trailing junk
-      {"k = 2\nmeasure_bytes = maybe\n", 2},          // bad bool
-      {"k = 2\nbogus = 1\n", 2},                      // unknown config key
-      {"k = 2\njob = warp trials=5\n", 2},            // unknown scenario
-      {"k = 2\njob = partition n=4\n", 2},            // missing trials
-      {"k = 2\njob = partition trials=5 warp=1\n", 2},  // unknown attr
-      {"k = 2\nthis is not a key value line\n", 2},   // grammar
-      {"k = 2\n", 0},                                 // no jobs at all
-      // Values that overflow or truncate on the way to their type.
-      {"k = 4294967297\njob = partition trials=5\n", 1},  // int wrap
-      {"k = 99999999999999999999\njob = partition trials=5\n", 1},  // ERANGE
-      {"k = 2\nmax_rounds = 4294967296\n", 2},       // Round wrap
-      {"k = 2\njob = partition trials=2 n=4294967300 m=2\n", 2},  // ProcId
-      {"k = 2\njob = rotating trials=2 n=131073\n", 2},  // decoder cap
-      {"k = 2\njob = partition trials=99999999999999999999\n", 2},  // ERANGE
-      {"k = 2\njob = partition trials=2 seed=99999999999999999999\n", 2},
-      {"k = 2\njob = partition trials=2 seed=-1\n", 2},  // negated seed
-      {"k = 2\njob = crash trials=2 maxcrash=2147483648\n", 2},  // Round
-      // Probabilities outside [0, 1], NaN included.
-      {"k = 2\njob = partition trials=2 noise=7\n", 2},
-      {"k = 2\njob = partition trials=2 noise=-0.5\n", 2},
-      {"k = 2\njob = random-psrcs trials=2 noise=nan\n", 2},
-      // More roots than processes: the generator would abort.
-      {"k = 9\njob = random-psrcs trials=2 n=4 k=9 roots=5\n", 2},
-  };
-  for (const auto& test_case : cases) {
-    const SpecParseResult parsed = parse_campaign_spec(test_case.text);
-    EXPECT_FALSE(parsed.spec.has_value()) << test_case.text;
-    EXPECT_EQ(parsed.line, test_case.line) << test_case.text;
-    EXPECT_FALSE(parsed.error.empty()) << test_case.text;
-  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // factories (crash, partition, rotating, network-backed) all aggregate
 // through the one run_scenario_trials code path, byte accumulators are
 // gated on measure_bytes, the trial hot loop constructs no per-round
-// graphs, and every Simulator scenario's capture replays its trial.
+// graphs, every Simulator scenario's capture replays its trial, and
+// every constructor checks its parameter table.
 #include "mc/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -238,6 +239,22 @@ TEST(ScenarioTest, CaptureTrialReplaysTheTrialForEveryScenario) {
   net.round_duration = 1000;
   const NetScenario network(LinkMatrix::all_timely(4, 100, 800), net);
   EXPECT_FALSE(network.capture_trial(3, config).has_value());
+}
+
+TEST(ScenarioDeathTest, ConstructorsCheckTheirParameterTables) {
+  // Bad parameters abort at construction, not on a tile thread at the
+  // first trial.
+  RandomPsrcsParams roots;
+  roots.n = 6;
+  roots.k = 2;
+  roots.root_components = 3;  // > k
+  EXPECT_DEATH(RandomPsrcsScenario{roots}, "precondition");
+  RandomPsrcsParams noise;
+  noise.noise_probability = 1.5;
+  EXPECT_DEATH(RandomPsrcsScenario{noise}, "precondition");
+  EXPECT_DEATH(CrashScenario(4, 4, 3), "precondition");  // crashes >= n
+  EXPECT_DEATH(RotatingScenario(4, 0), "precondition");  // hold < 1
+  EXPECT_DEATH(PartitionScenario(PartitionParams{}), "precondition");
 }
 
 }  // namespace

@@ -25,10 +25,9 @@
 #include "adversary/eventual.hpp"
 #include "adversary/figure1.hpp"
 #include "adversary/impossibility.hpp"
-#include "adversary/partition.hpp"
-#include "adversary/random_psrcs.hpp"
 #include "graph/scc.hpp"
 #include "kset/runner.hpp"
+#include "mc/scenario.hpp"
 #include "predicates/analysis.hpp"
 #include "predicates/psrcs.hpp"
 #include "rounds/record.hpp"
@@ -70,13 +69,6 @@ int k_flag(const CliArgs& args) {
                "--k must be in [1, " + std::to_string(kMaxDecodeUniverse) +
                    "]");
   return static_cast<int>(k);
-}
-
-/// --noise, a per-edge probability.
-double noise_flag(const CliArgs& args, double fallback) {
-  const double noise = args.get_double("noise", fallback);
-  require_flag(noise >= 0.0 && noise <= 1.0, "--noise must be in [0, 1]");
-  return noise;
 }
 
 void save_file(const std::string& path, const std::vector<std::uint8_t>& b) {
@@ -150,16 +142,21 @@ std::unique_ptr<GraphSource> build_adversary(const CliArgs& args, int k,
                "--n must be in [1, " + std::to_string(kMaxDecodeUniverse) +
                    "]");
   const ProcId n = static_cast<ProcId>(n_flag);
+  // The random and partition adversaries check their flags against the
+  // scenario tables (mc/scenario.hpp), like a spec file.
   if (kind == "random") {
-    const std::int64_t roots = args.get_int("roots", k);
-    require_flag(roots >= 1 && roots <= k && roots <= n,
-                 "--adversary=random needs 1 <= roots <= min(k, n)");
     RandomPsrcsParams params;
     params.n = n;
     params.k = k;
-    params.root_components = static_cast<int>(roots);
-    params.noise_probability = noise_flag(args, 0.25);
+    // A value beyond int reads as 0, which the table rejects too.
+    params.root_components = static_cast<int>(
+        args.get_int_in("roots", k, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max())
+            .value_or(0));
+    params.noise_probability = args.get_double("noise", 0.25);
     params.stabilization_round = 3;
+    const std::string error = validate(params);
+    require_flag(error.empty(), error);
     return std::make_unique<RandomPsrcsSource>(seed, params);
   }
   if (kind == "figure1") return make_figure1_source();
@@ -169,11 +166,13 @@ std::unique_ptr<GraphSource> build_adversary(const CliArgs& args, int k,
   }
   if (kind == "eventual") return make_eventual_source(n, 2 * n);
   if (kind == "partition") {
-    require_flag(k <= n, "--adversary=partition needs k <= n");
     PartitionParams params;
-    params.blocks = even_blocks(n, k);
-    params.cross_noise_probability = noise_flag(args, 0.0);
+    params.cross_noise_probability = args.get_double("noise", 0.0);
     params.stabilization_round = 3;
+    std::string error = kPartitionBlocks.error(n, k);
+    if (error.empty()) params.blocks = even_blocks(n, k);
+    if (error.empty()) error = validate(params);
+    require_flag(error.empty(), error);
     return std::make_unique<PartitionSource>(seed, params);
   }
   std::fprintf(stderr, "sskel: unknown adversary '%s'\n", kind.c_str());
