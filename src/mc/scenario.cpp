@@ -23,7 +23,7 @@ std::atomic<std::uint64_t> next_simulator_scenario_id{1};
 }  // namespace
 
 std::string ParamField::error(double value) const {
-  if (value >= lo && value <= hi) return {};
+  if (holds(value)) return {};
   const auto number = [](double v) {
     char text[32];
     return std::string(text, std::to_chars(text, text + sizeof(text), v).ptr);

@@ -166,7 +166,11 @@ struct ParamField {
   /// False: only code sets the field; a spec always gets `fallback`.
   bool in_spec = true;
 
-  /// Empty iff `value` lies in [lo, hi] (NaN does not); else why not.
+  /// Whether `value` lies in [lo, hi] (NaN does not).
+  [[nodiscard]] bool holds(double value) const {
+    return value >= lo && value <= hi;
+  }
+  /// Empty iff holds(value); else why not.
   [[nodiscard]] std::string error(double value) const;
 };
 
@@ -177,7 +181,16 @@ struct BlocksField {
   ParamField n;
   ParamField m;
 
-  /// Empty iff n and m lie in their ranges and m <= n.
+  /// Whether n and m lie in their ranges and m <= n.
+  [[nodiscard]] bool holds(std::int64_t processes, std::int64_t blocks) const {
+    return n.holds(static_cast<double>(processes)) &&
+           m.holds(static_cast<double>(blocks)) && blocks <= processes;
+  }
+  [[nodiscard]] bool holds(const std::vector<ProcSet>& blocks) const {
+    return holds(blocks.empty() ? 0 : blocks.front().universe(),
+                 static_cast<std::int64_t>(blocks.size()));
+  }
+  /// Empty iff holds(); else why not.
   [[nodiscard]] std::string error(std::int64_t processes,
                                   std::int64_t blocks) const;
   [[nodiscard]] std::string error(const std::vector<ProcSet>& blocks) const;
@@ -187,8 +200,9 @@ struct BlocksField {
 struct ParamRule {
   const char* message;
 
-  [[nodiscard]] std::string error(bool holds) const {
-    return holds ? std::string() : message;
+  [[nodiscard]] bool holds(bool value) const { return value; }
+  [[nodiscard]] std::string error(bool value) const {
+    return value ? std::string() : message;
   }
 };
 
@@ -249,13 +263,23 @@ void for_each_field(P& params, Visit&& visit) {
   visit(ParamField{"hold", 1, kMaxInt, 1}, params.hold);
 }
 
-/// Empty iff every field lies in its range and every rule holds;
-/// otherwise the first violation. Allocation-free on valid input.
+/// Whether every field lies in its range and every rule holds: a few
+/// inlined comparisons, cheap enough to guard every constructor.
+template <typename Params>
+[[nodiscard]] bool valid(const Params& params) {
+  bool ok = true;
+  for_each_field(params, [&ok](const auto& field, const auto& value) {
+    ok = ok && field.holds(value);
+  });
+  return ok;
+}
+
+/// Empty iff valid(params); otherwise the first violation.
 template <typename Params>
 [[nodiscard]] std::string validate(const Params& params) {
   std::string error;
   for_each_field(params, [&error](const auto& field, const auto& value) {
-    if (error.empty()) error = field.error(value);
+    if (error.empty() && !field.holds(value)) error = field.error(value);
   });
   return error;
 }
@@ -292,7 +316,7 @@ class TabledScenario : public SimulatorScenario {
 
  protected:
   explicit TabledScenario(Params params) : params_(std::move(params)) {
-    SSKEL_REQUIRE(validate(params_).empty());
+    SSKEL_REQUIRE(valid(params_));
   }
 
   Params params_;
