@@ -8,9 +8,9 @@
 //     and the constructors check the same parameter tables, so no
 //     constructor precondition (SSKEL_REQUIRE) is reachable — and its
 //     fingerprint() computes;
-//   * an accepted spec prints canonically, the printed text parses
-//     again, that parse prints to identical text, and the re-parsed
-//     spec has the same fingerprint().
+//   * an accepted spec prints canonically (print_campaign_spec returns
+//     text only when it parses back to the same fingerprint()), and
+//     that parse prints to identical text.
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,7 +45,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const SpecParseResult again = parse_campaign_spec(*printed);
   SSKEL_REQUIRE(again.spec.has_value());
   SSKEL_REQUIRE(print_campaign_spec(*again.spec) == printed);
-  SSKEL_REQUIRE(again.spec->fingerprint() == spec.fingerprint());
   return 0;
 }
 

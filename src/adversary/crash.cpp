@@ -41,8 +41,7 @@ ProcSet CrashSource::correct_processes() const {
 std::unique_ptr<CrashSource> make_random_crash_source(std::uint64_t seed,
                                                       ProcId n, int f,
                                                       Round max_crash_round) {
-  SSKEL_REQUIRE(f >= 0 && f < n);
-  SSKEL_REQUIRE(max_crash_round >= 1);
+  SSKEL_REQUIRE(validate(CrashParams{n, f, max_crash_round}).empty());
   Rng rng(seed);
   std::vector<ProcId> ids(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) ids[static_cast<std::size_t>(p)] = p;

@@ -22,6 +22,8 @@
 
 #include "graph/digraph.hpp"
 #include "rounds/graph_source.hpp"
+#include "util/decode.hpp"
+#include "util/param_table.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -57,6 +59,22 @@ class CrashSource final : public GraphSource {
 /// f distinct victims crash at uniformly random rounds in
 /// [1, max_crash_round], each reaching a uniformly random subset in
 /// its crash round.
+/// make_random_crash_source's parameters.
+struct CrashParams {
+  ProcId n = 5;
+  int crashes = 1;
+  Round max_crash_round = 3;
+};
+
+/// The declared parameter table (util/param_table.hpp).
+template <ParamsOf<CrashParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxDecodeUniverse, 5}, params.n);
+  visit(ParamField{"crashes", 0, kMaxInt, 1}, params.crashes);
+  visit(ParamField{"maxcrash", 1, kMaxInt, 3}, params.max_crash_round);
+  visit(ParamRule{"crash needs crashes < n"}, params.crashes < params.n);
+}
+
 [[nodiscard]] std::unique_ptr<CrashSource> make_random_crash_source(
     std::uint64_t seed, ProcId n, int f, Round max_crash_round);
 

@@ -6,10 +6,8 @@ namespace sskel {
 
 PartitionSource::PartitionSource(std::uint64_t seed, PartitionParams params)
     : seed_(seed), params_(std::move(params)), n_(0), stable_() {
-  SSKEL_REQUIRE(!params_.blocks.empty());
+  SSKEL_REQUIRE(validate(params_).empty());
   n_ = params_.blocks.front().universe();
-  SSKEL_REQUIRE(n_ > 0);
-  SSKEL_REQUIRE(params_.stabilization_round >= 1);
 
   // Blocks must partition the universe.
   ProcSet seen(n_);
@@ -53,8 +51,9 @@ void PartitionSource::graph_into(Round r, Digraph& out) {
 }
 
 std::vector<ProcSet> even_blocks(ProcId n, int m) {
-  SSKEL_REQUIRE(n > 0);
-  SSKEL_REQUIRE(m >= 1 && static_cast<ProcId>(m) <= n);
+  std::string error;
+  kPartitionBlocks.check(n, m, error);
+  SSKEL_REQUIRE(error.empty());
   std::vector<ProcSet> blocks;
   const ProcId base = n / static_cast<ProcId>(m);
   const ProcId extra = n % static_cast<ProcId>(m);
@@ -67,6 +66,16 @@ std::vector<ProcSet> even_blocks(ProcId n, int m) {
   }
   SSKEL_ASSERT(next == n);
   return blocks;
+}
+
+void put_field(std::vector<std::uint8_t>& out,
+               const std::vector<ProcSet>& blocks) {
+  put_field(out, blocks.front().universe());
+  put_field(out, blocks.size());
+  for (const ProcSet& block : blocks) {
+    put_field(out, block.count());
+    for (const ProcId p : block) put_field(out, p);
+  }
 }
 
 }  // namespace sskel

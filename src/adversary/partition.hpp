@@ -12,11 +12,15 @@
 // m-set agreement globally.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "rounds/graph_source.hpp"
+#include "util/decode.hpp"
+#include "util/param_table.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -29,6 +33,44 @@ struct PartitionParams {
   /// First round with *exactly* the block-local graph (>= 1).
   Round stabilization_round = 1;
 };
+
+/// A partition's blocks: even_blocks(n, m) from a spec, any partition
+/// from code (PartitionSource checks that it is one). Fingerprinted as
+/// universe, block count, then each block's count and members.
+struct BlocksField {
+  ParamField n;
+  ParamField m;
+
+  /// If `error` is empty and n or m lies outside its range or m > n,
+  /// sets `error` to why.
+  void check(std::int64_t processes, std::int64_t blocks,
+             std::string& error) const {
+    n.check(static_cast<double>(processes), error);
+    m.check(static_cast<double>(blocks), error);
+    if (error.empty() && blocks > processes) {
+      set_error(error, "partition needs m <= n");
+    }
+  }
+  void check(const std::vector<ProcSet>& blocks, std::string& error) const {
+    check(blocks.empty() ? 0 : blocks.front().universe(),
+          static_cast<std::int64_t>(blocks.size()), error);
+  }
+};
+
+/// n is capped like the trace decoder, so a recorded run decodes again.
+inline constexpr BlocksField kPartitionBlocks{{"n", 1, kMaxDecodeUniverse, 4},
+                                              {"m", 1, kMaxInt, 2}};
+
+/// The declared parameter table (util/param_table.hpp).
+template <ParamsOf<PartitionParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(kPartitionBlocks, params.blocks);
+  visit(ParamField{"noise", 0, 1, 0.0}, params.cross_noise_probability);
+  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
+}
+
+void put_field(std::vector<std::uint8_t>& out,
+               const std::vector<ProcSet>& blocks);
 
 class PartitionSource final : public GraphSource {
  public:

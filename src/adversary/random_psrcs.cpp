@@ -12,14 +12,8 @@ RandomPsrcsSource::RandomPsrcsSource(std::uint64_t seed,
       params_(params),
       stable_(params.n),
       hubs_(params.n) {
+  SSKEL_REQUIRE(validate(params_).empty());
   const ProcId n = params_.n;
-  SSKEL_REQUIRE(n > 0);
-  SSKEL_REQUIRE(params_.k >= 1);
-  SSKEL_REQUIRE(params_.root_components >= 1);
-  SSKEL_REQUIRE(params_.root_components <= params_.k);
-  SSKEL_REQUIRE(static_cast<ProcId>(params_.root_components) <= n);
-  SSKEL_REQUIRE(params_.max_core_size >= 1);
-  SSKEL_REQUIRE(params_.stabilization_round >= 1);
 
   Rng rng(mix_seed(seed_, 0));
 

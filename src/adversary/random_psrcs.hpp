@@ -29,11 +29,14 @@
 // (seed, params, r), so a source can be re-queried or replayed freely.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "rounds/graph_source.hpp"
+#include "util/decode.hpp"
+#include "util/param_table.hpp"
 #include "util/rng.hpp"
 
 namespace sskel {
@@ -54,6 +57,24 @@ struct RandomPsrcsParams {
   /// Probability of extra stable DAG edges into followers.
   double follower_edge_probability = 0.15;
 };
+
+/// The declared parameter table (util/param_table.hpp). n is capped
+/// like the trace decoder, so a recorded run decodes again.
+template <ParamsOf<RandomPsrcsParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxDecodeUniverse, 8}, params.n);
+  visit(ParamField{"k", 1, kMaxInt, 2}, params.k);
+  visit(ParamField{"roots", 1, kMaxInt, 2}, params.root_components);
+  visit(ParamField{"maxcore", 1, kMaxInt, 3}, params.max_core_size);
+  visit(ParamField{"noise", 0, 1, 0.25}, params.noise_probability);
+  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
+  visit(ParamField{"noise_after_stabilization", 0, 1, 1, false},
+        params.noise_after_stabilization);
+  visit(ParamField{"follower_edge_probability", 0, 1, 0.15, false},
+        params.follower_edge_probability);
+  visit(ParamRule{"random-psrcs needs roots <= min(k, n)"},
+        params.root_components <= std::min(params.k, params.n));
+}
 
 class RandomPsrcsSource final : public GraphSource {
  public:

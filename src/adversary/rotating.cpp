@@ -6,8 +6,7 @@ namespace sskel {
 
 std::unique_ptr<GraphSource> make_rotating_star_source(ProcId n, Round hold,
                                                        ProcId first_center) {
-  SSKEL_REQUIRE(n > 0);
-  SSKEL_REQUIRE(hold >= 1);
+  SSKEL_REQUIRE(validate(RotatingParams{n, hold}).empty());
   SSKEL_REQUIRE(first_center >= 0 && first_center < n);
   return std::make_unique<FunctionSource>(
       n, [n, hold, first_center](Round r) {

@@ -21,8 +21,23 @@
 
 #include "graph/digraph.hpp"
 #include "rounds/graph_source.hpp"
+#include "util/decode.hpp"
+#include "util/param_table.hpp"
 
 namespace sskel {
+
+/// make_rotating_star_source's parameters, bar the first center.
+struct RotatingParams {
+  ProcId n = 4;
+  Round hold = 1;
+};
+
+/// The declared parameter table (util/param_table.hpp).
+template <ParamsOf<RotatingParams> P, typename Visit>
+void for_each_field(P& params, Visit&& visit) {
+  visit(ParamField{"n", 1, kMaxDecodeUniverse, 4}, params.n);
+  visit(ParamField{"hold", 1, kMaxInt, 1}, params.hold);
+}
 
 /// Star centered at (first_center + (r - 1) / hold) mod n, so each
 /// center persists for `hold` consecutive rounds (hold = 1 is the pure

@@ -79,31 +79,38 @@ using Attrs = std::map<std::string, std::string>;
   return out || text == "0" || text == "false";
 }
 
-/// Reads table fields (mc/scenario.hpp) off `attrs`: the key's text or
-/// the default, then the range. The first error sticks.
+/// Reads `field` from `text` (absent: the default) into `member` if it
+/// lies in the field's range; an int reads as int64, so an
+/// out-of-range value cannot wrap. Returns the error, empty on success.
+template <typename T>
+[[nodiscard]] std::string read_field(const ParamField& field,
+                                     const std::optional<std::string>& text,
+                                     T& member) {
+  using Wide = std::conditional_t<std::is_same_v<T, int>, std::int64_t, T>;
+  auto read = static_cast<Wide>(field.fallback);
+  if (text.has_value() && !parse_number(*text, read)) {
+    return std::string(field.key) + " is malformed: " + *text;
+  }
+  std::string error;
+  field.check(static_cast<double>(read), error);
+  if (error.empty()) member = static_cast<T>(read);
+  return error;
+}
+
+/// Reads a table's fields (util/param_table.hpp) off a job line's
+/// attributes. The first error sticks; the rules are validate()'s.
 struct FieldReader {
   Attrs& attrs;
   /// Blocks the spec's partition jobs may still ask for.
   std::int64_t& blocks_left;
   std::string& error;
-  /// Leave a field whose key is absent as it is (config lines).
-  bool keep_absent = false;
 
   template <typename T>
   void operator()(const ParamField& field, T& value) {
-    // An int reads as int64, so an out-of-range value cannot wrap.
-    using Wide = std::conditional_t<std::is_same_v<T, int>, std::int64_t, T>;
-    if (!error.empty()) return;
-    auto read = static_cast<Wide>(field.fallback);
-    const std::optional<std::string> text =
-        field.in_spec ? take(attrs, field.key) : std::nullopt;
-    if (!text.has_value() && keep_absent) return;
-    if (text.has_value() && !parse_number(*text, read)) {
-      error = std::string(field.key) + " is malformed: " + *text;
-      return;
+    if (error.empty()) {
+      error = read_field(
+          field, field.in_spec ? take(attrs, field.key) : std::nullopt, value);
     }
-    error = field.error(static_cast<double>(read));
-    if (error.empty()) value = static_cast<T>(read);
   }
 
   void operator()(const BlocksField& field, std::vector<ProcSet>& blocks) {
@@ -120,7 +127,7 @@ struct FieldReader {
       return;
     }
     blocks_left -= m;
-    error = field.error(n, m);
+    field.check(n, m, error);
     if (error.empty()) {
       blocks = even_blocks(static_cast<ProcId>(n), static_cast<int>(m));
     }
@@ -129,25 +136,28 @@ struct FieldReader {
   void operator()(const ParamRule& /*rule*/, bool /*holds*/) const {}
 };
 
-/// Prints table fields in order, as ` key=value` job attributes by
-/// default. Doubles take the shortest form strtod reads back exactly.
+/// A number as the spec writes it; doubles take the shortest form
+/// strtod reads back exactly.
+template <typename T>
+[[nodiscard]] std::string number_text(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char text[32];
+    return std::string(text,
+                       std::to_chars(text, text + sizeof(text), value).ptr);
+  } else {
+    return std::to_string(value);
+  }
+}
+
+/// Prints a table's spec fields in order as ` key=value` attributes.
 struct FieldPrinter {
   std::string& out;
-  const char* lead = " ";
-  const char* assign = "=";
-  const char* trail = "";
 
   template <typename T>
   void operator()(const ParamField& field, const T& value) const {
-    if (!field.in_spec) return;
-    out += lead + std::string(field.key) + assign;
-    if constexpr (std::is_floating_point_v<T>) {
-      char text[32];
-      out.append(text, std::to_chars(text, text + sizeof(text), value).ptr);
-    } else {
-      out += std::to_string(value);
+    if (field.in_spec) {
+      out += ' ' + std::string(field.key) + '=' + number_text(value);
     }
-    out += trail;
   }
 
   void operator()(const BlocksField& field,
@@ -234,13 +244,10 @@ bool for_each_kind(Visit&& visit) {
                                          : DecisionGuard::kAfterRoundN;
     return {};
   }
-  Attrs attrs{{key, value}};
-  std::int64_t no_blocks = 0;
-  std::string error;
-  for_each_config_field(config, FieldReader{attrs, no_blocks, error, true});
-  if (error.empty() && !attrs.empty()) {
-    error = "unknown config key '" + key + "'";
-  }
+  std::string error = "unknown config key '" + key + "'";
+  for_each_config_field(config, [&](const ParamField& field, auto& member) {
+    if (key == field.key) error = read_field(field, value, member);
+  });
   return error;
 }
 
@@ -292,7 +299,10 @@ std::optional<std::string> print_campaign_spec(const CampaignSpec& spec) {
                     (spec.config.guard == DecisionGuard::kAtRoundN
                          ? "at-round-n\n"
                          : "after-round-n\n");
-  for_each_config_field(spec.config, FieldPrinter{out, "", " = ", "\n"});
+  for_each_config_field(spec.config, [&out](const ParamField& field,
+                                           const auto& value) {
+    out += std::string(field.key) + " = " + number_text(value) + '\n';
+  });
   for (const CampaignJob& job : spec.jobs) {
     const bool known = for_each_kind([&](const char* kind, auto scenario) {
       using Scenario = typename decltype(scenario)::type;

@@ -19,11 +19,12 @@
 // 64-bit, default 0) and trials (>= 1, required). The scenario
 // attributes with their ranges and defaults, and the cross-field rules
 // (random-psrcs roots <= min(k, n), crash crashes < n, partition
-// m <= n), live in one place: the scenario's declared parameter table
-// in mc/scenario.hpp, which the scenario constructors and `sskel run`
-// check too. n is at most 131,072, the trace decoder's universe cap.
-// Integers must fit their range (nothing wraps or saturates) and
-// probabilities (noise) lie in [0, 1].
+// m <= n), live in one place: the declared parameter table next to each
+// params struct in adversary/ (util/param_table.hpp), which the graph
+// sources, the scenario constructors and `sskel run` check too. n is
+// at most 131,072, the trace decoder's universe cap. Integers must fit
+// their range (nothing wraps or saturates) and probabilities (noise)
+// lie in [0, 1].
 //
 // An attribute may appear once per job line. A partition job's blocks
 // are built at parse time, so the partition jobs of one spec may ask

@@ -1,12 +1,8 @@
 #include "mc/scenario.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <memory>
 #include <utility>
-
-#include "adversary/crash.hpp"
-#include "adversary/rotating.hpp"
 
 namespace sskel {
 
@@ -21,39 +17,6 @@ ScenarioTrial from_report(KSetRunReport report) {
 std::atomic<std::uint64_t> next_simulator_scenario_id{1};
 
 }  // namespace
-
-std::string ParamField::error(double value) const {
-  if (holds(value)) return {};
-  const auto number = [](double v) {
-    char text[32];
-    return std::string(text, std::to_chars(text, text + sizeof(text), v).ptr);
-  };
-  return std::string(key) + " must be in [" + number(lo) + ", " + number(hi) +
-         "], not " + number(value);
-}
-
-std::string BlocksField::error(std::int64_t processes,
-                               std::int64_t blocks) const {
-  std::string error = n.error(static_cast<double>(processes));
-  if (error.empty()) error = m.error(static_cast<double>(blocks));
-  if (error.empty() && blocks > processes) error = "partition needs m <= n";
-  return error;
-}
-
-std::string BlocksField::error(const std::vector<ProcSet>& blocks) const {
-  return error(blocks.empty() ? 0 : blocks.front().universe(),
-               static_cast<std::int64_t>(blocks.size()));
-}
-
-void put_field(std::vector<std::uint8_t>& out,
-               const std::vector<ProcSet>& blocks) {
-  put_field(out, blocks.front().universe());
-  put_field(out, blocks.size());
-  for (const ProcSet& block : blocks) {
-    put_field(out, block.count());
-    for (const ProcId p : block) put_field(out, p);
-  }
-}
 
 SimulatorScenario::SimulatorScenario()
     : id_(next_simulator_scenario_id.fetch_add(1,

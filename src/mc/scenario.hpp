@@ -9,11 +9,7 @@
 // results are reproducible and thread-count independent.
 #pragma once
 
-#include <algorithm>
-#include <bit>
-#include <concepts>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,16 +17,17 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/crash.hpp"
 #include "adversary/partition.hpp"
 #include "adversary/random_psrcs.hpp"
+#include "adversary/rotating.hpp"
 #include "kset/runner.hpp"
 #include "net/driver.hpp"
 #include "net/kset_net.hpp"
 #include "net/link.hpp"
 #include "rounds/trace.hpp"
 #include "util/assert.hpp"
-#include "util/decode.hpp"
-#include "util/varint.hpp"
+#include "util/param_table.hpp"
 
 namespace sskel {
 
@@ -151,154 +148,10 @@ class SimulatorScenario : public ScenarioFactory {
   std::uint64_t id_;
 };
 
-// One declared parameter table per Simulator scenario: each field's
-// descriptor and member in fingerprint order, then the cross-field
-// rules, handed to a visitor. The spec parser and printer, the
-// constructors' precondition and fingerprint, and `sskel run` all walk
-// it, so what one accepts the others accept too.
-
-/// A number field: spec key, inclusive range, spec default.
-struct ParamField {
-  const char* key;
-  double lo;
-  double hi;
-  double fallback;
-  /// False: only code sets the field; a spec always gets `fallback`.
-  bool in_spec = true;
-
-  /// Whether `value` lies in [lo, hi] (NaN does not).
-  [[nodiscard]] bool holds(double value) const {
-    return value >= lo && value <= hi;
-  }
-  /// Empty iff holds(value); else why not.
-  [[nodiscard]] std::string error(double value) const;
-};
-
-/// A partition's blocks: even_blocks(n, m) from a spec, any partition
-/// from code (PartitionSource checks that it is one). Fingerprinted as
-/// universe, block count, then each block's count and members.
-struct BlocksField {
-  ParamField n;
-  ParamField m;
-
-  /// Whether n and m lie in their ranges and m <= n.
-  [[nodiscard]] bool holds(std::int64_t processes, std::int64_t blocks) const {
-    return n.holds(static_cast<double>(processes)) &&
-           m.holds(static_cast<double>(blocks)) && blocks <= processes;
-  }
-  [[nodiscard]] bool holds(const std::vector<ProcSet>& blocks) const {
-    return holds(blocks.empty() ? 0 : blocks.front().universe(),
-                 static_cast<std::int64_t>(blocks.size()));
-  }
-  /// Empty iff holds(); else why not.
-  [[nodiscard]] std::string error(std::int64_t processes,
-                                  std::int64_t blocks) const;
-  [[nodiscard]] std::string error(const std::vector<ProcSet>& blocks) const;
-};
-
-/// A cross-field rule, visited with whether it holds.
-struct ParamRule {
-  const char* message;
-
-  [[nodiscard]] bool holds(bool value) const { return value; }
-  [[nodiscard]] std::string error(bool value) const {
-    return value ? std::string() : message;
-  }
-};
-
-struct CrashParams {
-  ProcId n = 5;
-  int crashes = 1;
-  Round max_crash_round = 3;
-};
-
-struct RotatingParams {
-  ProcId n = 4;
-  Round hold = 1;
-};
-
-inline constexpr double kMaxInt = std::numeric_limits<int>::max();
-/// The trace decoder's cap, so a campaign's artifacts decode again.
-inline constexpr double kMaxProcesses = kMaxDecodeUniverse;
-inline constexpr BlocksField kPartitionBlocks{{"n", 1, kMaxProcesses, 4},
-                                              {"m", 1, kMaxInt, 2}};
-
-template <typename P, typename Params>
-concept ParamsOf = std::same_as<std::remove_const_t<P>, Params>;
-
-template <ParamsOf<PartitionParams> P, typename Visit>
-void for_each_field(P& params, Visit&& visit) {
-  visit(kPartitionBlocks, params.blocks);
-  visit(ParamField{"noise", 0, 1, 0.0}, params.cross_noise_probability);
-  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
-}
-
-template <ParamsOf<RandomPsrcsParams> P, typename Visit>
-void for_each_field(P& params, Visit&& visit) {
-  visit(ParamField{"n", 1, kMaxProcesses, 8}, params.n);
-  visit(ParamField{"k", 1, kMaxInt, 2}, params.k);
-  visit(ParamField{"roots", 1, kMaxInt, 2}, params.root_components);
-  visit(ParamField{"maxcore", 1, kMaxInt, 3}, params.max_core_size);
-  visit(ParamField{"noise", 0, 1, 0.25}, params.noise_probability);
-  visit(ParamField{"stabilize", 1, kMaxInt, 1}, params.stabilization_round);
-  visit(ParamField{"noise_after_stabilization", 0, 1, 1, false},
-        params.noise_after_stabilization);
-  visit(ParamField{"follower_edge_probability", 0, 1, 0.15, false},
-        params.follower_edge_probability);
-  visit(ParamRule{"random-psrcs needs roots <= min(k, n)"},
-        params.root_components <= std::min(params.k, params.n));
-}
-
-template <ParamsOf<CrashParams> P, typename Visit>
-void for_each_field(P& params, Visit&& visit) {
-  visit(ParamField{"n", 1, kMaxProcesses, 5}, params.n);
-  visit(ParamField{"crashes", 0, kMaxInt, 1}, params.crashes);
-  visit(ParamField{"maxcrash", 1, kMaxInt, 3}, params.max_crash_round);
-  visit(ParamRule{"crash needs crashes < n"}, params.crashes < params.n);
-}
-
-template <ParamsOf<RotatingParams> P, typename Visit>
-void for_each_field(P& params, Visit&& visit) {
-  visit(ParamField{"n", 1, kMaxProcesses, 4}, params.n);
-  visit(ParamField{"hold", 1, kMaxInt, 1}, params.hold);
-}
-
-/// Whether every field lies in its range and every rule holds: a few
-/// inlined comparisons, cheap enough to guard every constructor.
-template <typename Params>
-[[nodiscard]] bool valid(const Params& params) {
-  bool ok = true;
-  for_each_field(params, [&ok](const auto& field, const auto& value) {
-    ok = ok && field.holds(value);
-  });
-  return ok;
-}
-
-/// Empty iff valid(params); otherwise the first violation.
-template <typename Params>
-[[nodiscard]] std::string validate(const Params& params) {
-  std::string error;
-  for_each_field(params, [&error](const auto& field, const auto& value) {
-    if (error.empty() && !field.holds(value)) error = field.error(value);
-  });
-  return error;
-}
-
-/// Fingerprint bytes of a field: integers as varints, doubles by their
-/// exact bit pattern.
-template <typename T>
-void put_field(std::vector<std::uint8_t>& out, const T& value) {
-  if constexpr (std::is_floating_point_v<T>) {
-    put_varint(out, std::bit_cast<std::uint64_t>(value));
-  } else {
-    put_varint(out, static_cast<std::uint64_t>(value));
-  }
-}
-void put_field(std::vector<std::uint8_t>& out,
-               const std::vector<ProcSet>& blocks);
-
-/// A Simulator scenario over one declared table: bad parameters abort
-/// in the constructor, not on a tile thread at the first trial.
+/// A Simulator scenario over its graph family's declared parameter
+/// table (util/param_table.hpp): bad parameters abort in the
+/// constructor, not on a tile thread at the first trial, and the
+/// fingerprint is the table's fields in order.
 template <typename P>
 class TabledScenario : public SimulatorScenario {
  public:
@@ -316,7 +169,7 @@ class TabledScenario : public SimulatorScenario {
 
  protected:
   explicit TabledScenario(Params params) : params_(std::move(params)) {
-    SSKEL_REQUIRE(valid(params_));
+    SSKEL_REQUIRE(validate(params_).empty());
   }
 
   Params params_;

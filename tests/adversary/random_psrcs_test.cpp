@@ -148,5 +148,11 @@ TEST(RandomPsrcsDeathTest, RejectsMoreRootsThanK) {
   EXPECT_DEATH(RandomPsrcsSource(1, params), "precondition");
 }
 
+TEST(RandomPsrcsDeathTest, RejectsNoiseOutsideTheUnitInterval) {
+  RandomPsrcsParams params;
+  params.follower_edge_probability = 1.5;
+  EXPECT_DEATH(RandomPsrcsSource(1, params), "precondition");
+}
+
 }  // namespace
 }  // namespace sskel

@@ -25,9 +25,10 @@
 #include "adversary/eventual.hpp"
 #include "adversary/figure1.hpp"
 #include "adversary/impossibility.hpp"
+#include "adversary/partition.hpp"
+#include "adversary/random_psrcs.hpp"
 #include "graph/scc.hpp"
 #include "kset/runner.hpp"
-#include "mc/scenario.hpp"
 #include "predicates/analysis.hpp"
 #include "predicates/psrcs.hpp"
 #include "rounds/record.hpp"
@@ -142,20 +143,20 @@ std::unique_ptr<GraphSource> build_adversary(const CliArgs& args, int k,
                "--n must be in [1, " + std::to_string(kMaxDecodeUniverse) +
                    "]");
   const ProcId n = static_cast<ProcId>(n_flag);
-  // The random and partition adversaries check their flags against the
-  // scenario tables (mc/scenario.hpp), like a spec file.
+  // The random and partition adversaries check their flags against
+  // their declared parameter tables, like a spec file.
   if (kind == "random") {
     RandomPsrcsParams params;
     params.n = n;
     params.k = k;
-    // A value beyond int reads as 0, which the table rejects too.
-    params.root_components = static_cast<int>(
-        args.get_int_in("roots", k, std::numeric_limits<int>::min(),
-                        std::numeric_limits<int>::max())
-            .value_or(0));
-    params.noise_probability = args.get_double("noise", 0.25);
     params.stabilization_round = 3;
-    const std::string error = validate(params);
+    // set_field checks the range before narrowing to the member's type.
+    std::string error = set_field(
+        params, "roots", static_cast<double>(args.get_int("roots", k)));
+    if (error.empty()) {
+      error = set_field(params, "noise", args.get_double("noise", 0.25));
+    }
+    if (error.empty()) error = validate(params);
     require_flag(error.empty(), error);
     return std::make_unique<RandomPsrcsSource>(seed, params);
   }
@@ -169,7 +170,8 @@ std::unique_ptr<GraphSource> build_adversary(const CliArgs& args, int k,
     PartitionParams params;
     params.cross_noise_probability = args.get_double("noise", 0.0);
     params.stabilization_round = 3;
-    std::string error = kPartitionBlocks.error(n, k);
+    std::string error;
+    kPartitionBlocks.check(n, k, error);
     if (error.empty()) params.blocks = even_blocks(n, k);
     if (error.empty()) error = validate(params);
     require_flag(error.empty(), error);

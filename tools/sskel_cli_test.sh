@@ -42,6 +42,8 @@ bad_flags() {
   expect_exit 2 "$sskel" run --adversary=impossibility --n=4 --k=9
   expect_exit 2 "$sskel" run --adversary=random --n=4 --k=3 --roots=4
   expect_exit 2 "$sskel" run --adversary=random --n=2 --k=3 --roots=3
+  expect_exit 2 "$sskel" run --adversary=random --n=4 --k=3 --roots=abc
+  expect_exit 2 "$sskel" run --adversary=random --n=4 --k=3 --roots=4294967297
   expect_exit 2 "$sskel" run --noise=1.5
   expect_exit 2 "$sskel" run --n=6 --k=2 --noise=abc
   expect_exit 2 "$sskel" run --n=6 --k=2 --noise=0.5x
