@@ -87,9 +87,9 @@ int main() {
   // Reference fold: one uninterrupted plane batch over the campaign's
   // exact seed sequence. Its SSKC trial-field bytes are the
   // bit-equality currency every other run is compared against.
-  McTilePlane reference_plane(*scenario, McPlaneOptions{});
+  McTilePlane reference_plane;
   const McSummary reference = reference_plane.run(
-      master, static_cast<int>(total_trials), config);
+      *scenario, master, static_cast<int>(total_trials), config);
   const std::vector<std::uint8_t> reference_bytes =
       encode_summary_trial_fields(reference);
 
@@ -103,7 +103,8 @@ int main() {
     for (int rep = 0; rep < reps; ++rep) {
       const Clock::time_point start = Clock::now();
       for (int b = 0; b < batches; ++b) {
-        (void)reference_plane.run(master + static_cast<std::uint64_t>(b),
+        (void)reference_plane.run(*scenario,
+                                  master + static_cast<std::uint64_t>(b),
                                   static_cast<int>(checkpoint_every), config);
       }
       const double elapsed = seconds_since(start);

@@ -22,9 +22,9 @@
 //
 // Gates: the service sustains >= 3x the pool's batch throughput on the
 // converged workload, and every digest matches. A tile-count sweep
-// reports scaling plus the topology placement map and failed-pin count
-// (this host may be single-core; the sweep is about correctness of
-// oversubscription, the gate about fixed-cost elimination).
+// reports scaling and asserts the digest is the same at every tile
+// count (the host may be single-core; the sweep is about correctness
+// of oversubscription, the gate about fixed-cost elimination).
 //
 // SSKEL_SMOKE=1 shrinks the sweeps for CI; SSKEL_BENCH_JSON overrides
 // the BENCH_mc.json path. Rate fields end in _per_sec so
@@ -144,12 +144,13 @@ int main() {
     // pool rebuilds it per trial. Warm-up also converges the intern
     // domain, so the timed reps see the service's steady state; the
     // convergence cost itself is reported below (batch-1 misses).
-    McTilePlane plane(scenario, McPlaneOptions{});
+    McTilePlane plane;
     McSummary last_plane_summary;
     std::int64_t first_batch_misses = 0;
     auto plane_batch = [&](int b) {
-      last_plane_summary = plane.run(master + static_cast<std::uint64_t>(b),
-                                     trials_per_batch, config);
+      last_plane_summary =
+          plane.run(scenario, master + static_cast<std::uint64_t>(b),
+                    trials_per_batch, config);
       return summary_digest(last_plane_summary);
     };
     for (int b = 0; b < warm_batches; ++b) {
@@ -211,7 +212,7 @@ int main() {
   }
 
   std::cout << "========================================================\n"
-            << " E15b: tile-count sweep (placement + pin accounting)\n"
+            << " E15b: tile-count sweep\n"
             << "========================================================\n\n";
 
   {
@@ -220,14 +221,11 @@ int main() {
     std::string reference_digest;
 
     Table table("tile sweep (" + std::to_string(trials) + " trials per row)",
-                {"tiles", "trials/s", "placement", "failed pins"});
+                {"tiles", "trials/s"});
     for (unsigned tiles : {1u, 2u, 4u}) {
-      McPlaneOptions options;
-      options.tiles = tiles;
-      options.pin_tiles = true;  // exercises topology-derived placement
-      McTilePlane plane(scenario, options);
+      McTilePlane plane(McPlaneOptions{tiles});
       const Clock::time_point start = Clock::now();
-      const McSummary summary = plane.run(master, trials, config);
+      const McSummary summary = plane.run(scenario, master, trials, config);
       const double elapsed = seconds_since(start);
       const double rate =
           static_cast<double>(trials) / (elapsed > 0.0 ? elapsed : 1e-9);
@@ -236,16 +234,11 @@ int main() {
       if (reference_digest.empty()) reference_digest = digest;
       SSKEL_ASSERT(digest == reference_digest);
 
-      table.add_row({cell(static_cast<std::int64_t>(tiles)), cell(rate, 0),
-                     summary.tile_placement.empty() ? "-"
-                                                    : summary.tile_placement,
-                     cell(summary.failed_pins)});
+      table.add_row({cell(static_cast<std::int64_t>(tiles)), cell(rate, 0)});
       json.add("tile_sweep")
           .set("tiles", static_cast<std::int64_t>(tiles))
           .set("trials", trials)
-          .set("trials_per_sec", rate)
-          .set("tile_placement", summary.tile_placement)
-          .set("failed_pins", summary.failed_pins);
+          .set("trials_per_sec", rate);
     }
     table.print(std::cout);
     std::cout << "summaries bit-identical across tile counts "

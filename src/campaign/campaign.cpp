@@ -82,15 +82,6 @@ CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions options)
 
 CampaignEngine::~CampaignEngine() = default;
 
-McTilePlane& CampaignEngine::plane_for(const ScenarioFactory& scenario) {
-  for (auto& [key, plane] : planes_) {
-    if (key == &scenario) return *plane;
-  }
-  planes_.emplace_back(
-      &scenario, std::make_unique<McTilePlane>(scenario, options_.plane));
-  return *planes_.back().second;
-}
-
 CampaignResult CampaignEngine::run() {
   if (!options_.state_dir.empty()) {
     // run() ignores any existing checkpoint — delete both generations
@@ -129,6 +120,11 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
   result.summaries.resize(job_count);
   result.trials_folded.assign(job_count, 0);
   CampaignStats& stats = result.stats;
+
+  if (plane_ == nullptr) {
+    plane_ = std::make_unique<McTilePlane>(options_.plane);
+  }
+  McTilePlane& plane = *plane_;
 
   std::unique_ptr<CheckpointWriter> writer;
   if (!options_.state_dir.empty()) {
@@ -237,8 +233,7 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
     }
     if (job_state.trials_folded == job.trials) continue;
 
-    McTilePlane& plane = plane_for(*job.scenario);
-    plane.stream_begin(spec_.config, options_.window,
+    plane.stream_begin(*job.scenario, spec_.config, options_.window,
                        static_cast<std::uint64_t>(job_state.trials_folded));
 
     /// Tile-side wall times of this job's prior trials (runtime-only:
@@ -311,6 +306,7 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
     }
     plane.stream_end();
     plane.export_service_fields(job_state.summary);
+    stats.submit_stalls += plane.submit_stalls();
     // Job boundary (or kill): persist, so a resume skips finished
     // jobs entirely.
     snapshot();
@@ -332,10 +328,6 @@ CampaignResult CampaignEngine::execute(CampaignCheckpoint state) {
     stats.checkpoints_written = writer->checkpoints_written();
     stats.checkpoints_coalesced = writer->checkpoints_coalesced();
     stats.checkpoint_bytes = writer->bytes_written();
-  }
-  for (const auto& [key, plane] : planes_) {
-    stats.submit_stalls += plane->submit_stalls();
-    stats.result_stalls += plane->result_stalls();
   }
 
   result.completed = true;

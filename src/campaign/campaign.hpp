@@ -5,11 +5,12 @@
 // seed, trial count), folded under one run config. Where the batch
 // API (McTilePlane::run) pays its ramp — window allocation, intern
 // re-analysis — once per call, the campaign engine keeps one
-// McTilePlane hot per distinct scenario and streams every job's
-// trials through the plane's in-flight window from a persistent
-// cursor, so sustained trials/sec over a long sweep matches
-// back-to-back batches (bench_campaign gates ≥ 0.95x with
-// checkpointing on).
+// McTilePlane hot for its lifetime and streams every job's trials
+// through the plane's in-flight window from a persistent cursor, so
+// sustained trials/sec over a long sweep matches back-to-back batches
+// (bench_campaign gates ≥ 0.95x with checkpointing on). Each job's
+// stream names its scenario, so a campaign runs on exactly `tiles`
+// workers however many jobs and scenarios it sweeps.
 //
 // Crash safety costs (almost) nothing on the hot path: the folded
 // state at any instant is a *prefix* of the deterministic trial
@@ -86,8 +87,8 @@ struct CampaignProgress {
 
 struct CampaignOptions {
   McPlaneOptions plane;
-  /// In-flight trial window per plane: the dispatcher offers until
-  /// the window is full, then collects.
+  /// In-flight trial window: the dispatcher offers until the window is
+  /// full, then collects.
   std::size_t window = 256;
   /// Checkpoint every N folded trials (per job); <= 0 disables the
   /// cadence (a final checkpoint is still written on stop).
@@ -133,9 +134,11 @@ struct CampaignStats {
   /// handoff; the write itself is off-thread).
   double checkpoint_stall_seconds = 0.0;
   double checkpoint_stall_pct = 0.0;
-  /// Offers the full window refused (McTilePlane::submit_stalls).
+  /// Offers the full window refused this run, summed over the jobs'
+  /// streams (McTilePlane::submit_stalls).
   std::int64_t submit_stalls = 0;
-  /// Always 0 (McTilePlane::result_stalls); kept for bench harnesses.
+  /// Always 0: results land in the window, so tiles never wait on the
+  /// dispatcher. Kept for bench harnesses.
   std::int64_t result_stalls = 0;
   std::int64_t artifacts_captured = 0;
   std::int64_t outliers_detected = 0;
@@ -173,16 +176,14 @@ class CampaignEngine {
   [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
 
  private:
-  [[nodiscard]] McTilePlane& plane_for(const ScenarioFactory& scenario);
   [[nodiscard]] CampaignResult execute(CampaignCheckpoint state);
 
   CampaignSpec spec_;
   CampaignOptions options_;
-  /// One hot plane per distinct scenario object, created on first use
-  /// and kept for the engine's lifetime (jobs sharing a scenario
-  /// share its plane — and its warmed intern shards).
-  std::vector<std::pair<const ScenarioFactory*, std::unique_ptr<McTilePlane>>>
-      planes_;
+  /// The engine's one plane, built by the first run() or resume() (so
+  /// constructing an engine spawns no threads) and kept hot after it.
+  /// Consecutive jobs of one scenario share its warmed intern shards.
+  std::unique_ptr<McTilePlane> plane_;
 };
 
 }  // namespace sskel

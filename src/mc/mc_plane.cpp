@@ -5,59 +5,17 @@
 
 #include "mc/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/topology.hpp"
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace sskel {
 
-namespace {
-
-void pin_current_thread(int cpu, std::atomic<unsigned>& failures) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    failures.fetch_add(1, std::memory_order_relaxed);
-  }
-#else
-  (void)cpu;
-  failures.fetch_add(1, std::memory_order_relaxed);
-#endif
-}
-
-std::vector<int> resolve_placement(const McPlaneOptions& options,
-                                   unsigned tiles) {
-  if (!options.pin_tiles) return {};
-  std::vector<int> plan;
-  if (!options.cpu_placement.empty()) {
-    plan.reserve(tiles);
-    for (unsigned i = 0; i < tiles; ++i) {
-      plan.push_back(options.cpu_placement[i % options.cpu_placement.size()]);
-    }
-    return plan;
-  }
-  plan = plan_tile_cpus(probe_cpu_topology(), tiles);
-  if (plan.empty()) {  // degenerate probe: fall back to identity
-    for (unsigned i = 0; i < tiles; ++i) plan.push_back(static_cast<int>(i));
-  }
-  return plan;
-}
-
-}  // namespace
-
-McTilePlane::McTilePlane(const ScenarioFactory& scenario,
-                         McPlaneOptions options)
-    : scenario_(&scenario), scratch_(resolve_tile_count(options.tiles)) {
+McTilePlane::McTilePlane(McPlaneOptions options)
+    : scratch_(resolve_tile_count(options.tiles)) {
   // scratch_.size() rather than resolving again: SSKEL_THREADS is
   // re-read per resolve and must bind exactly once per plane.
   const auto tiles = static_cast<unsigned>(scratch_.size());
-  placement_ = resolve_placement(options, tiles);
-  for (auto& slot : scratch_) slot = scenario.make_scratch();
+  for (auto& slot : scratch_) {
+    slot = std::make_unique<ScenarioFactory::Scratch>();
+  }
   workers_.reserve(tiles);
   for (unsigned tile = 0; tile < tiles; ++tile) {
     workers_.emplace_back([this, tile](const std::stop_token& stop) {
@@ -69,9 +27,6 @@ McTilePlane::McTilePlane(const ScenarioFactory& scenario,
 McTilePlane::~McTilePlane() = default;
 
 void McTilePlane::tile_main(unsigned tile, const std::stop_token& stop) {
-  if (tile < placement_.size()) {
-    pin_current_thread(placement_[tile], pin_failures_);
-  }
   while (!stop.stop_requested()) {
     std::uint64_t ticket = claimed_.load(std::memory_order_relaxed);
     // Acquire pairs with stream_offer's release: every seed (and the
@@ -100,16 +55,24 @@ void McTilePlane::run_claimed(unsigned tile, std::uint64_t ticket) {
   slot.done.store(true, std::memory_order_release);
 }
 
-void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
+void McTilePlane::stream_begin(const ScenarioFactory& scenario,
+                               const KSetRunConfig& config, std::size_t window,
                                std::uint64_t first_index) {
   SSKEL_REQUIRE(!streaming_);
   SSKEL_REQUIRE(window > 0);
 
   // The persistent domain is the service's point: tile shards carry
   // interned analytics from batch to batch, so a converged scenario's
-  // second batch re-analyzes (almost) nothing.
+  // second batch re-analyzes (almost) nothing. Another scenario's
+  // structures would only crowd the shards, so a switch starts afresh.
+  // Safe to replace: no tile holds a claim between streams, and each
+  // trial rebinds its shard from the stream's config.
+  if (scenario_ != &scenario) {
+    intern_ = std::make_unique<InternDomain>();
+    scenario_ = &scenario;
+  }
   stream_config_ = config;
-  if (stream_config_.intern == nullptr) stream_config_.intern = &intern_;
+  if (stream_config_.intern == nullptr) stream_config_.intern = intern_.get();
 
   // Safe to rewrite: the previous stream was fully collected, so no
   // tile holds a claim, and tiles read this state only after claiming.
@@ -118,6 +81,7 @@ void McTilePlane::stream_begin(const KSetRunConfig& config, std::size_t window,
   stream_ticket_ = offered_.load(std::memory_order_relaxed);
   next_offer_ = first_index;
   next_collect_ = first_index;
+  submit_stalls_ = 0;
   streaming_ = true;
 }
 
@@ -166,24 +130,21 @@ void McTilePlane::stream_end() {
 }
 
 void McTilePlane::export_service_fields(McSummary& summary) const {
+  SSKEL_REQUIRE(scenario_ != nullptr);
   summary.scenario = scenario_->name();
-  summary.intern = stream_config_.intern != nullptr
-                       ? stream_config_.intern->merged_stats()
-                       : intern_.merged_stats();
-  summary.intern_shards = static_cast<std::int64_t>(
-      stream_config_.intern != nullptr ? stream_config_.intern->shard_count()
-                                       : intern_.shard_count());
+  summary.intern = stream_config_.intern->merged_stats();
+  summary.intern_shards =
+      static_cast<std::int64_t>(stream_config_.intern->shard_count());
   summary.peak_proc_set_bytes = ProcSet::peak_bytes();
   summary.live_proc_set_bytes = ProcSet::live_bytes();
   summary.arena_proc_set_bytes = ProcSet::arena_bytes();
   summary.arena_reuses = ProcSet::arena_reuses();
   summary.scheduler = "tile-plane";
   summary.tiles = static_cast<std::int64_t>(tiles());
-  summary.tile_placement = cpu_list_to_string(placement_);
-  summary.failed_pins = static_cast<std::int64_t>(failed_pins());
 }
 
-McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
+McSummary McTilePlane::run(const ScenarioFactory& scenario,
+                           std::uint64_t master_seed, int trials,
                            const KSetRunConfig& config,
                            const TrialCallback& per_trial) {
   SSKEL_REQUIRE(trials >= 0);
@@ -196,7 +157,7 @@ McSummary McTilePlane::run(std::uint64_t master_seed, int trials,
   // A batch is a stream whose window covers every trial: every offer
   // succeeds, and the fold happens on the dispatcher as completions
   // arrive — in trial order, exactly like a batch-end fold.
-  stream_begin(config, std::max<std::size_t>(static_cast<std::size_t>(trials),
+  stream_begin(scenario, config, std::max<std::size_t>(static_cast<std::size_t>(trials),
                                              std::size_t{1}));
   const StreamSink sink = [&](std::uint64_t t, const ScenarioTrial& trial,
                               std::int64_t /*elapsed_ns*/) {

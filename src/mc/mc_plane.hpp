@@ -9,7 +9,8 @@
 // dominate at small n.
 //
 // McTilePlane is the same trial loop rebuilt as a persistent
-// *service* over a fixed set of worker tiles:
+// *service* over a fixed set of worker tiles, bound to no scenario:
+// each stream (and so each batch) names the scenario it runs.
 //
 //   * each tile is one persistent std::jthread; trials are claimed off
 //     one atomic cursor — the dispatcher release-stores an `offered`
@@ -21,11 +22,13 @@
 //     (tile threads live across batches, so InternDomain::local() is
 //     stable per tile), its ProcSet word arena, and one reusable
 //     ScenarioFactory::Scratch (engine, processes and the graph
-//     source slot SimulatorScenario::run_trial manages) — so a trial
-//     resets hot structures instead of reconstructing them;
-//   * tiles are placed physical-core-first from the probed host
-//     topology when pinning is enabled (util/topology.hpp), and the
-//     effective placement + failed pin count surface in McSummary.
+//     source slot SimulatorScenario::run_trial manages, which serve
+//     any scenario) — so a trial resets hot structures instead of
+//     reconstructing them;
+//   * the plane's InternDomain stays warm while consecutive streams
+//     run the same scenario, and starts fresh when the scenario
+//     changes: another graph family's structures would only fill the
+//     shards' capacity.
 //
 // Determinism: trial t always uses seed mix_seed(master, t), results
 // land in a trial-indexed window slot whose done flag the tile
@@ -53,41 +56,32 @@ struct McPlaneOptions {
   /// concurrency; explicit values are still capped by SSKEL_THREADS
   /// (resolve_tile_count — the single concurrency knob).
   unsigned tiles = 0;
-  /// Pin tiles physical-core-first from the probed topology (or
-  /// `cpu_placement` when set). Off by default: single-core CI hosts
-  /// gain nothing and lose scheduling freedom. A failed pin is
-  /// counted (failed_pins), never fatal — CI runners often forbid
-  /// affinity changes.
-  bool pin_tiles = false;
-  /// Explicit CPU per tile (cycled when shorter than the tile count);
-  /// empty = derive from probe_cpu_topology(). Ignored unless
-  /// pin_tiles is set.
-  std::vector<int> cpu_placement;
 };
 
-/// A persistent Monte-Carlo scheduling service: construct once per
-/// scenario, call run() per batch. Tiles, their intern shards, and
+/// A persistent Monte-Carlo scheduling service: construct once, call
+/// run() per batch with any scenario. Tiles, their intern shards, and
 /// their engine scratch survive between batches — the second batch of
 /// a converged scenario runs almost entirely on interned analytics
-/// and reset (not reconstructed) engines. Dispatcher methods (run and
-/// the counters) belong to one thread at a time.
+/// and reset (not reconstructed) engines. Dispatcher methods (run,
+/// the stream calls and the counters) belong to one thread at a time.
 class McTilePlane {
  public:
-  explicit McTilePlane(const ScenarioFactory& scenario,
-                       McPlaneOptions options = {});
+  explicit McTilePlane(McPlaneOptions options = {});
   ~McTilePlane();
 
   McTilePlane(const McTilePlane&) = delete;
   McTilePlane& operator=(const McTilePlane&) = delete;
 
-  /// Runs one batch: trial t gets seed mix_seed(master_seed, t);
-  /// aggregates fold in trial order. Bit-identical trial fields vs
-  /// run_scenario_trials with the same (scenario, seed, trials,
-  /// config). When config.intern is null the service's own persistent
-  /// domain is used (intern stats in the summary are then cumulative
-  /// across this plane's batches — service-level counters, like the
-  /// stall counters below).
-  [[nodiscard]] McSummary run(std::uint64_t master_seed, int trials,
+  /// Runs one batch of `scenario`: trial t gets seed
+  /// mix_seed(master_seed, t); aggregates fold in trial order.
+  /// Bit-identical trial fields vs run_scenario_trials with the same
+  /// (scenario, seed, trials, config). When config.intern is null the
+  /// service's own domain is used (intern stats in the summary are
+  /// then cumulative across this plane's batches since the scenario
+  /// last changed — service-level counters, like the stall counters
+  /// below).
+  [[nodiscard]] McSummary run(const ScenarioFactory& scenario,
+                              std::uint64_t master_seed, int trials,
                               const KSetRunConfig& config,
                               const TrialCallback& per_trial = {});
 
@@ -109,12 +103,15 @@ class McTilePlane {
   using StreamSink = std::function<void(
       std::uint64_t index, const ScenarioTrial& trial, std::int64_t elapsed_ns)>;
 
-  /// Opens a stream of sequentially indexed trials starting at
-  /// `first_index`, with at most `window` trials in flight. Binds the
-  /// run config for every trial of the stream (a null config.intern is
-  /// replaced by the service's persistent domain). No stream or batch
+  /// Opens a stream of sequentially indexed trials of `scenario`
+  /// starting at `first_index`, with at most `window` trials in
+  /// flight. Binds the scenario and the run config for every trial of
+  /// the stream (a null config.intern is replaced by the service's
+  /// domain, which starts fresh when `scenario` is not the previous
+  /// stream's). `scenario` must outlive the stream. No stream or batch
   /// may already be active.
-  void stream_begin(const KSetRunConfig& config, std::size_t window,
+  void stream_begin(const ScenarioFactory& scenario,
+                    const KSetRunConfig& config, std::size_t window,
                     std::uint64_t first_index = 0);
 
   /// Offers trial `index` (must be the next sequential index) with its
@@ -153,21 +150,9 @@ class McTilePlane {
   [[nodiscard]] unsigned tiles() const {
     return static_cast<unsigned>(scratch_.size());
   }
-  /// Tiles whose CPU pin attempt failed (0 when pinning is off).
-  [[nodiscard]] unsigned failed_pins() const {
-    return pin_failures_.load(std::memory_order_relaxed);
-  }
-  /// Planned CPU id per tile when pinning is on (empty otherwise).
-  /// Entries are the *intended* placement; failed_pins() says how many
-  /// of them the OS refused.
-  [[nodiscard]] const std::vector<int>& placement() const {
-    return placement_;
-  }
-  /// Offers refused because the in-flight window was full.
+  /// Offers refused because the in-flight window was full, in the
+  /// current (or last) stream.
   [[nodiscard]] std::int64_t submit_stalls() const { return submit_stalls_; }
-  /// Always 0: results land in the window, so tiles never wait on the
-  /// dispatcher. Kept for callers that still report it.
-  [[nodiscard]] std::int64_t result_stalls() const { return 0; }
   /// Trials executed by this service since construction (counted as
   /// they are collected or aborted).
   [[nodiscard]] std::int64_t trials_executed() const {
@@ -193,20 +178,22 @@ class McTilePlane {
     return slots_[static_cast<std::size_t>(index % slots_.size())];
   }
 
-  const ScenarioFactory* scenario_;
-  /// Persistent cross-batch intern domain; tile threads are stable so
-  /// each tile keeps one shard for the service's lifetime.
-  InternDomain intern_;
+  /// Cross-batch intern domain of scenario_; tile threads are stable
+  /// so each tile keeps one shard per domain. Replaced when a stream
+  /// names another scenario. Comparing addresses is enough: a scenario
+  /// rebuilt at a dead one's address only inherits a warm cache, which
+  /// changes no trial result.
+  std::unique_ptr<InternDomain> intern_;
   /// Per-tile trial scratch (index = tile).
   std::vector<std::unique_ptr<ScenarioFactory::Scratch>> scratch_;
-  std::vector<int> placement_;  // CPU per tile; empty when not pinning
-  std::atomic<unsigned> pin_failures_{0};
   /// Streaming state, written by the dispatcher only between streams
   /// (stream_begin) and published to tiles by the first offer's
-  /// release: the config copy bound for the stream's lifetime, the
-  /// circular window (trial i in slot i % window — unique while in
-  /// flight, the window bound guarantees no two live trials share a
-  /// slot), and the ticket that the stream's first index maps to.
+  /// release: the scenario and config copy bound for the stream's
+  /// lifetime, the circular window (trial i in slot i % window —
+  /// unique while in flight, the window bound guarantees no two live
+  /// trials share a slot), and the ticket that the stream's first
+  /// index maps to.
+  const ScenarioFactory* scenario_ = nullptr;
   KSetRunConfig stream_config_;
   std::vector<Slot> slots_;
   std::uint64_t stream_first_ = 0;

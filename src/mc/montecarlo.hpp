@@ -78,13 +78,11 @@ struct McSummary {
   std::int64_t arena_reuses = 0;
 
   /// Scheduler provenance (DESIGN.md §13): which trial scheduler
-  /// produced this summary ("pool" or "tile-plane"), how many
-  /// workers/tiles it ran, the planned CPU per tile when pinning was
-  /// on ("" otherwise, util/topology.hpp rendering), and how many pins
-  /// the OS refused — so a throughput regression caused by denied
-  /// affinity is diagnosable from the artifact alone. Excluded from
-  /// the cross-scheduler bit-equality tripwire, like the intern/arena
-  /// fields above.
+  /// produced this summary ("pool" or "tile-plane") and how many
+  /// workers/tiles it ran. Excluded from the cross-scheduler
+  /// bit-equality tripwire, like the intern/arena fields above.
+  /// tile_placement and failed_pins always read "" and 0 (tiles are
+  /// never pinned); they stay because the frozen skbench reads them.
   std::string scheduler = "pool";
   std::int64_t tiles = 0;
   std::string tile_placement;

@@ -18,6 +18,7 @@
 #include "adversary/crash.hpp"
 #include "adversary/partition.hpp"
 #include "kset/runner.hpp"
+#include "mc/montecarlo.hpp"
 #include "rounds/record.hpp"
 #include "rounds/trace.hpp"
 #include "util/rng.hpp"
@@ -75,9 +76,9 @@ TEST(CampaignTest, UninterruptedRunMatchesBatchPlane) {
   ASSERT_EQ(result.summaries.size(), 2u);
 
   for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
-    McTilePlane plane(*spec.jobs[j].scenario, McPlaneOptions{});
+    McTilePlane plane;
     const McSummary batch =
-        plane.run(spec.jobs[j].master_seed,
+        plane.run(*spec.jobs[j].scenario, spec.jobs[j].master_seed,
                   static_cast<int>(spec.jobs[j].trials), spec.config);
     EXPECT_EQ(encode_summary_trial_fields(result.summaries[j]),
               encode_summary_trial_fields(batch))
@@ -85,10 +86,40 @@ TEST(CampaignTest, UninterruptedRunMatchesBatchPlane) {
   }
 }
 
+TEST(CampaignTest, OneEngineRerunsScenarioSwitchesBitIdentical) {
+  // One engine, one plane: the jobs switch scenario twice per run (the
+  // third job streams the first job's scenario object again), and the
+  // engine runs the whole spec twice. Every job of both runs must
+  // equal a standalone batch of the pool reference scheduler.
+  const auto partition = make_partition_scenario();
+  CampaignSpec spec;
+  spec.config.k = 2;
+  spec.jobs.push_back(CampaignJob{"conv", partition, 42, 60});
+  spec.jobs.push_back(CampaignJob{
+      "cr", std::make_shared<CrashScenario>(5, 1, 3), 7, 40});
+  spec.jobs.push_back(CampaignJob{"conv-again", partition, 43, 50});
+
+  std::vector<std::vector<std::uint8_t>> standalone;
+  for (const CampaignJob& job : spec.jobs) {
+    standalone.push_back(encode_summary_trial_fields(
+        run_scenario_trials(*job.scenario, job.master_seed,
+                            static_cast<int>(job.trials), spec.config)));
+  }
+
+  CampaignOptions options;
+  options.plane.tiles = 2;
+  CampaignEngine engine(spec, options);
+  for (int run = 0; run < 2; ++run) {
+    const CampaignResult result = engine.run();
+    ASSERT_TRUE(result.completed);
+    EXPECT_EQ(job_digests(result), standalone) << "run " << run;
+  }
+}
+
 TEST(CampaignTest, KillResumeBitIdenticalAcrossTilesAndKillPoints) {
   const CampaignSpec spec = two_job_spec();
 
-  // Uninterrupted reference fold, single plane per job.
+  // Uninterrupted reference fold.
   CampaignEngine reference_engine(spec, CampaignOptions{});
   const auto reference = job_digests(reference_engine.run());
 

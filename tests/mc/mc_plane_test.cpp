@@ -6,8 +6,9 @@
 // tile counts {1, 2, 4}, and under tiny-window backpressure. Only
 // service-level fields — intern/arena/peak counters and scheduler
 // provenance — may differ. Also covers the engine-scratch reuse
-// contract (run_trial with scratch == without), tile pinning and
-// placement, and the SSKEL_THREADS tile-count cap.
+// contract (run_trial with scratch == without), one plane streaming
+// several scenarios in turn, per-stream stall counting, and the
+// SSKEL_THREADS tile-count cap.
 #include "mc/mc_plane.hpp"
 
 #include <gtest/gtest.h>
@@ -35,7 +36,7 @@ void expect_accumulators_equal(const Accumulator& a, const Accumulator& b,
 
 /// Bit-equality over every trial-derived field. Service-level fields
 /// (intern stats, shard counts, ProcSet peak/live/arena accounting,
-/// scheduler/tiles/placement/failed_pins) are deliberately excluded:
+/// scheduler/tiles) are deliberately excluded:
 /// they describe the machinery, not the trials.
 void expect_summaries_equal(const McSummary& a, const McSummary& b) {
   EXPECT_EQ(a.scenario, b.scenario);
@@ -97,8 +98,8 @@ TEST(McTilePlane, PoolVsTilePlaneBitIdentical) {
       run_scenario_trials(scenario, kSeed, trials, config, /*threads=*/2);
   McPlaneOptions options;
   options.tiles = 2;
-  McTilePlane plane(scenario, options);
-  const McSummary tiled = plane.run(kSeed, trials, config);
+  McTilePlane plane(options);
+  const McSummary tiled = plane.run(scenario, kSeed, trials, config);
 
   expect_summaries_equal(pool, tiled);
   EXPECT_EQ(pool.scheduler, "pool");
@@ -116,8 +117,8 @@ TEST(McTilePlane, BitIdenticalAcrossTileCounts) {
   for (unsigned tiles : {1u, 2u, 4u}) {
     McPlaneOptions options;
     options.tiles = tiles;
-    McTilePlane plane(scenario, options);
-    runs.push_back(plane.run(kSeed, trials, config));
+    McTilePlane plane(options);
+    runs.push_back(plane.run(scenario, kSeed, trials, config));
     // SSKEL_THREADS may cap the request; the summary reports the plane.
     EXPECT_LE(plane.tiles(), tiles);
     EXPECT_EQ(runs.back().tiles, static_cast<std::int64_t>(plane.tiles()));
@@ -140,7 +141,7 @@ TEST(McTilePlane, TinyWindowBackpressureBitIdentical) {
   for (std::size_t window : {std::size_t{1}, std::size_t{2}}) {
     McPlaneOptions options;
     options.tiles = 3;
-    McTilePlane plane(scenario, options);
+    McTilePlane plane(options);
     McSummary streamed;
     streamed.scenario = scenario.name();
     streamed.bytes_measured = config.measure_bytes;
@@ -148,7 +149,7 @@ TEST(McTilePlane, TinyWindowBackpressureBitIdentical) {
         [&](std::uint64_t, const ScenarioTrial& trial, std::int64_t) {
           fold_scenario_trial(streamed, trial, config);
         };
-    plane.stream_begin(config, window);
+    plane.stream_begin(scenario, config, window);
     for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(trials);) {
       if (plane.stream_offer(t, mix_seed(kSeed, t))) {
         ++t;
@@ -176,16 +177,27 @@ TEST(McTilePlane, PersistentServiceReusesInternAcrossBatches) {
   const KSetRunConfig config = base_config();
   McPlaneOptions options;
   options.tiles = 1;
-  McTilePlane plane(scenario, options);
+  McTilePlane plane(options);
 
-  const McSummary first = plane.run(kSeed, 16, config);
-  const McSummary second = plane.run(kSeed, 16, config);
+  const McSummary first = plane.run(scenario, kSeed, 16, config);
+  const McSummary second = plane.run(scenario, kSeed, 16, config);
   expect_summaries_equal(first, second);
   // Cumulative service-level counters: no new structures in batch 2...
   EXPECT_EQ(second.intern.entries, first.intern.entries);
   // ...while resolutions kept landing as hits.
   EXPECT_GT(second.intern.hits, first.intern.hits);
   EXPECT_EQ(plane.trials_executed(), 32);
+
+  // Once another scenario has run, the plane starts a fresh domain:
+  // the same batch replays the first batch's intern stats exactly
+  // instead of adding to them.
+  const RotatingScenario rotating(6);
+  (void)plane.run(rotating, kSeed, 16, config);
+  const McSummary switched_back = plane.run(scenario, kSeed, 16, config);
+  expect_summaries_equal(first, switched_back);
+  EXPECT_EQ(switched_back.intern.entries, first.intern.entries);
+  EXPECT_EQ(switched_back.intern.hits, first.intern.hits);
+  EXPECT_EQ(switched_back.intern.misses, first.intern.misses);
 }
 
 TEST(McTilePlane, PersistentServiceReusesInternAcrossBatchesOnManyTiles) {
@@ -201,21 +213,21 @@ TEST(McTilePlane, PersistentServiceReusesInternAcrossBatchesOnManyTiles) {
   const int trials = 8;
   McPlaneOptions one_tile;
   one_tile.tiles = 1;
-  McTilePlane reference(scenario, one_tile);
-  const McSummary baseline = reference.run(kSeed, trials, config);
+  McTilePlane reference(one_tile);
+  const McSummary baseline = reference.run(scenario, kSeed, trials, config);
 
   McPlaneOptions options;
   options.tiles = 2;
-  McTilePlane plane(scenario, options);
+  McTilePlane plane(options);
   const std::int64_t bound =
       static_cast<std::int64_t>(plane.tiles()) * baseline.intern.entries;
-  McSummary previous = plane.run(kSeed, trials, config);
+  McSummary previous = plane.run(scenario, kSeed, trials, config);
   expect_summaries_equal(baseline, previous);
   EXPECT_LE(previous.intern.entries, bound);
   const int max_batches = static_cast<int>(plane.tiles()) * trials + 1;
   bool settled = false;
   for (int batch = 0; batch < max_batches && !settled; ++batch) {
-    const McSummary next = plane.run(kSeed, trials, config);
+    const McSummary next = plane.run(scenario, kSeed, trials, config);
     expect_summaries_equal(baseline, next);
     EXPECT_GE(next.intern.entries, previous.intern.entries);
     EXPECT_LE(next.intern.entries, bound);
@@ -285,8 +297,8 @@ TEST(McTilePlane, RunScenarioTrialsOnDispatchesBothSchedulers) {
   options.tiles = 2;
   const McSummary pool =
       run_scenario_trials(scenario, kSeed, 12, config, options.tiles);
-  McTilePlane plane(scenario, options);
-  const McSummary tiled = plane.run(kSeed, 12, config);
+  McTilePlane plane(options);
+  const McSummary tiled = plane.run(scenario, kSeed, 12, config);
   EXPECT_EQ(pool.scheduler, "pool");
   EXPECT_EQ(tiled.scheduler, "tile-plane");
   expect_summaries_equal(pool, tiled);
@@ -301,10 +313,10 @@ TEST(McTilePlaneStream, ManualStreamFoldMatchesBatchRun) {
   const KSetRunConfig config = base_config();
   const int trials = 30;
 
-  McTilePlane batch_plane(scenario, McPlaneOptions{});
-  const McSummary batch = batch_plane.run(kSeed, trials, config);
+  McTilePlane batch_plane;
+  const McSummary batch = batch_plane.run(scenario, kSeed, trials, config);
 
-  McTilePlane plane(scenario, McPlaneOptions{});
+  McTilePlane plane;
   McSummary streamed;
   streamed.scenario = scenario.name();
   streamed.bytes_measured = config.measure_bytes;
@@ -317,7 +329,7 @@ TEST(McTilePlaneStream, ManualStreamFoldMatchesBatchRun) {
         fold_scenario_trial(streamed, trial, config);
         ++delivered;
       };
-  plane.stream_begin(config, /*window=*/4);
+  plane.stream_begin(scenario, config, /*window=*/4);
   for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(trials);) {
     if (plane.stream_offer(t, mix_seed(kSeed, t))) {
       ++t;
@@ -338,8 +350,8 @@ TEST(McTilePlaneStream, AbortDiscardsInFlightAndPlaneStaysUsable) {
   const PartitionScenario scenario = make_partition_scenario(8);
   const KSetRunConfig config = base_config();
 
-  McTilePlane plane(scenario, McPlaneOptions{});
-  plane.stream_begin(config, /*window=*/8);
+  McTilePlane plane;
+  plane.stream_begin(scenario, config, /*window=*/8);
   std::uint64_t offered = 0;
   while (offered < 6 && plane.stream_offer(offered, mix_seed(kSeed, offered))) {
     ++offered;
@@ -351,9 +363,9 @@ TEST(McTilePlaneStream, AbortDiscardsInFlightAndPlaneStaysUsable) {
 
   // The aborted stream leaves no residue: a batch run on the same
   // plane still matches a fresh plane bit-for-bit.
-  const McSummary after = plane.run(kSeed, 12, config);
-  McTilePlane fresh(scenario, McPlaneOptions{});
-  expect_summaries_equal(fresh.run(kSeed, 12, config), after);
+  const McSummary after = plane.run(scenario, kSeed, 12, config);
+  McTilePlane fresh;
+  expect_summaries_equal(fresh.run(scenario, kSeed, 12, config), after);
 }
 
 TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
@@ -364,7 +376,7 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
   const std::uint64_t first = 7;
   const std::uint64_t total = 19;
 
-  McTilePlane plane(scenario, McPlaneOptions{});
+  McTilePlane plane;
   McSummary tail;
   tail.scenario = scenario.name();
   tail.bytes_measured = config.measure_bytes;
@@ -372,7 +384,7 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
       [&](std::uint64_t, const ScenarioTrial& trial, std::int64_t) {
         fold_scenario_trial(tail, trial, config);
       };
-  plane.stream_begin(config, /*window=*/4, first);
+  plane.stream_begin(scenario, config, /*window=*/4, first);
   for (std::uint64_t t = first; t < total;) {
     if (plane.stream_offer(t, mix_seed(kSeed, t))) {
       ++t;
@@ -393,47 +405,50 @@ TEST(McTilePlaneStream, FirstIndexOffsetResumesMidSequence) {
   expect_summaries_equal(expected, tail);
 }
 
-TEST(McTilePlane, PlacementEmptyWhenNotPinning) {
-  const PartitionScenario scenario = make_partition_scenario(8);
+TEST(McTilePlane, OnePlaneStreamsScenariosInTurn) {
+  // The plane is bound to no scenario: each batch names its own, the
+  // per-tile scratch serves whichever scenario claims it (n changes
+  // from 4 to 6 and back), and every batch still equals the pool.
+  const PartitionScenario partition = make_partition_scenario(4);
+  RandomPsrcsParams params;
+  params.n = 6;
+  params.k = 2;
+  const RandomPsrcsScenario random_psrcs(params);
+  const KSetRunConfig config = base_config();
+  const int trials = 20;
+
   McPlaneOptions options;
   options.tiles = 2;
-  McTilePlane plane(scenario, options);
-  EXPECT_TRUE(plane.placement().empty());
-  EXPECT_EQ(plane.failed_pins(), 0u);
+  McTilePlane plane(options);
+  const ScenarioFactory* order[] = {&partition, &random_psrcs, &partition};
+  for (const ScenarioFactory* scenario : order) {
+    const McSummary pool =
+        run_scenario_trials(*scenario, kSeed, trials, config, /*threads=*/2);
+    const McSummary tiled = plane.run(*scenario, kSeed, trials, config);
+    expect_summaries_equal(pool, tiled);
+    EXPECT_EQ(tiled.scenario, scenario->name());
+  }
+  EXPECT_EQ(plane.trials_executed(), 3 * trials);
 }
 
-TEST(McTilePlane, ExplicitCpuPlacementIsCycledAcrossTiles) {
+TEST(McTilePlaneStream, SubmitStallsCountTheCurrentStreamOnly) {
   const PartitionScenario scenario = make_partition_scenario(8);
   const KSetRunConfig config = base_config();
-  McPlaneOptions options;
-  options.tiles = 3;
-  options.pin_tiles = true;
-  options.cpu_placement = {0};  // CPU 0 always exists
-  McTilePlane plane(scenario, options);
-  // SSKEL_THREADS may cap the three tiles requested.
-  ASSERT_EQ(plane.placement().size(), plane.tiles());
-  for (int cpu : plane.placement()) EXPECT_EQ(cpu, 0);
-  std::string expected_placement = "0";
-  for (unsigned t = 1; t < plane.tiles(); ++t) expected_placement += ",0";
-  // Pinning to CPU 0 is legal on any host that lets us pin at all, so
-  // either every pin landed or the runner forbids affinity entirely.
-  const McSummary summary = plane.run(kSeed, 2, config);
-  EXPECT_EQ(summary.runs, 2);
-  EXPECT_EQ(summary.tile_placement, expected_placement);
-  EXPECT_LE(plane.failed_pins(), plane.tiles());
-}
+  McTilePlane plane;
 
-TEST(McTilePlane, TopologyDerivedPlacementCoversEveryTile) {
-  const PartitionScenario scenario = make_partition_scenario(8);
-  const KSetRunConfig config = base_config();
-  McPlaneOptions options;
-  options.tiles = 4;
-  options.pin_tiles = true;  // placement from probe_cpu_topology()
-  McTilePlane plane(scenario, options);
-  ASSERT_EQ(plane.placement().size(), plane.tiles());
-  for (int cpu : plane.placement()) EXPECT_GE(cpu, 0);
-  const McSummary summary = plane.run(kSeed, 16, config);
-  EXPECT_EQ(summary.runs, 16);
+  plane.stream_begin(scenario, config, /*window=*/1);
+  ASSERT_TRUE(plane.stream_offer(0, mix_seed(kSeed, 0)));
+  // Trial 0 is not collected, so it still holds the only slot.
+  EXPECT_FALSE(plane.stream_offer(1, mix_seed(kSeed, 1)));
+  EXPECT_EQ(plane.submit_stalls(), 1);
+  plane.stream_abort();
+  plane.stream_end();
+
+  // A batch's window covers every trial, so none of its offers is
+  // refused, and the previous stream's refusal is not carried over.
+  const McSummary batch = plane.run(scenario, kSeed, 8, config);
+  EXPECT_EQ(batch.runs, 8);
+  EXPECT_EQ(plane.submit_stalls(), 0);
 }
 
 TEST(McTilePlaneEnv, TilesFromEnvValuePureCases) {
@@ -464,7 +479,7 @@ TEST(McTilePlaneEnv, SskelThreadsCapsTileCount) {
   const PartitionScenario scenario = make_partition_scenario(8);
   McPlaneOptions options;
   options.tiles = 4;
-  McTilePlane plane(scenario, options);
+  McTilePlane plane(options);
   EXPECT_EQ(plane.tiles(), 1u);
   ASSERT_EQ(unsetenv("SSKEL_THREADS"), 0);
   EXPECT_EQ(resolve_tile_count(4), 4u);
