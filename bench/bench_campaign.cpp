@@ -87,17 +87,19 @@ int main() {
   // Reference fold: one uninterrupted plane batch over the campaign's
   // exact seed sequence. Its SSKC trial-field bytes are the
   // bit-equality currency every other run is compared against.
-  McTilePlane reference_plane;
-  const McSummary reference = reference_plane.run(
-      *scenario, master, static_cast<int>(total_trials), config);
-  const std::vector<std::uint8_t> reference_bytes =
-      encode_summary_trial_fields(reference);
-
+  //
   // Back-to-back batch baseline: the same hot plane, run() per batch
   // of checkpoint_every trials — the pre-campaign way to sweep, with
   // no checkpointing and no crash safety. Best-of-reps batch rate.
+  //
+  // The plane is destroyed before the campaign's reps: its idle tiles
+  // spin, and alive they would share the cores with the engine's.
+  std::vector<std::uint8_t> reference_bytes;
   double batch_s = 0.0;
   {
+    McTilePlane reference_plane;
+    reference_bytes = encode_summary_trial_fields(reference_plane.run(
+        *scenario, master, static_cast<int>(total_trials), config));
     const auto batches =
         static_cast<int>(total_trials / checkpoint_every);
     for (int rep = 0; rep < reps; ++rep) {

@@ -10,6 +10,7 @@
 #include "util/bench_json.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
+#include "util/wire.hpp"
 
 namespace sskel {
 
@@ -19,11 +20,6 @@ using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-void put_spec_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
 }
 
 /// A trial misbehaved when any checked property failed — the same
@@ -47,8 +43,8 @@ std::uint64_t CampaignSpec::fingerprint() const {
   std::vector<std::uint8_t> bytes;
   put_varint(bytes, jobs.size());
   for (const CampaignJob& job : jobs) {
-    put_spec_string(bytes, job.name);
-    put_spec_string(bytes, job.scenario->name());
+    put_string(bytes, job.name);
+    put_string(bytes, job.scenario->name());
     // name() only separates scenario classes; append_fingerprint
     // covers every constructor parameter (crash counts, noise, ...)
     // so a resume under a same-class-different-distribution spec is

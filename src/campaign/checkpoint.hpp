@@ -8,10 +8,9 @@
 // bookkeeping. Resume folds trial trials_folded onward on top of the
 // decoded summary and lands bit-identically on the uninterrupted run.
 //
-// Wire format ("SSKC", version 1):
+// Wire format: magic "SSKC", version 1, framed by the container of
+// util/wire.hpp:
 //
-//   magic "SSKC" | varint version | frames...
-//   frame  := type u8 | varint payload-length | payload
 //   kHeader (1), exactly once, first:
 //       varint spec-fingerprint | varint job-count
 //   kJob (2), exactly job-count times, in job order:

@@ -1,4 +1,5 @@
-// The framed trace container (DESIGN.md §14).
+// The SSKT trace format (DESIGN.md §14), framed by the container of
+// util/wire.hpp.
 //
 // Encoding trusts its caller (SSKEL_REQUIRE on malformed captures);
 // decoding trusts nothing — captures travel as files, CI artifacts and
@@ -11,13 +12,15 @@
 
 #include "rounds/record.hpp"
 #include "util/varint.hpp"
+#include "util/wire.hpp"
 
 namespace sskel {
 
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'S', 'S', 'K', 'T'};
-constexpr std::uint64_t kVersion = 1;
+constexpr FrameFormat kFormat{"SSKT", 1,
+                              static_cast<std::uint8_t>(TraceFrame::kHeader),
+                              static_cast<std::uint8_t>(TraceFrame::kEnd)};
 
 constexpr std::uint64_t kMaxRound =
     static_cast<std::uint64_t>(std::numeric_limits<Round>::max());
@@ -25,14 +28,6 @@ constexpr std::uint64_t kMaxTime =
     static_cast<std::uint64_t>(std::numeric_limits<SimTime>::max());
 constexpr std::uint64_t kMaxStat =
     static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
-
-/// Appends one frame: type byte, varint payload length, payload.
-void put_frame(std::vector<std::uint8_t>& out, TraceFrame type,
-               const std::vector<std::uint8_t>& payload) {
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_varint(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-}
 
 [[nodiscard]] bool read_proc(ByteReader& r, ProcId n, ProcId& out,
                              const char* field) {
@@ -59,27 +54,131 @@ void put_frame(std::vector<std::uint8_t>& out, TraceFrame type,
   return true;
 }
 
+/// Reads one frame into `c`. Frames come in any order after the
+/// header, but graph and stats rounds run 1, 2, ... each.
+[[nodiscard]] bool read_frame(Frame& frame, RunCapture& c) {
+  ByteReader& r = frame.payload;
+  const ProcId n = c.header.n;
+  switch (static_cast<TraceFrame>(frame.type)) {
+    case TraceFrame::kHeader: {
+      std::uint64_t n_wide = 0;
+      if (!r.read_varint_max(n_wide, kMaxDecodeUniverse, "header n")) {
+        return false;
+      }
+      if (n_wide == 0) {
+        return r.fail(DecodeStatus::kValueOutOfRange, "header n");
+      }
+      std::uint64_t source = 0;
+      std::uint64_t seed = 0;
+      SimTime duration = 0;
+      if (!r.read_varint_max(
+              source, static_cast<std::uint64_t>(TraceSource::kNetEventQueue),
+              "header source") ||
+          !r.read_varint(seed, "header seed") ||
+          !read_time(r, duration, "header round duration")) {
+        return false;
+      }
+      c.header = TraceHeader{static_cast<ProcId>(n_wide),
+                             static_cast<TraceSource>(source), seed, duration};
+      return true;
+    }
+    case TraceFrame::kGraph: {
+      Round round = 0;
+      if (!read_round(r, round, "graph round")) return false;
+      if (round != static_cast<Round>(c.graphs.size()) + 1) {
+        return frame.reject(DecodeStatus::kBadFrame, "graph round order");
+      }
+      return decode_graph_body(r, n, c.graphs.emplace_back());
+    }
+    case TraceFrame::kRoundStats: {
+      RoundStats s;
+      if (!read_round(r, s.round, "stats round")) return false;
+      if (s.round != static_cast<Round>(c.stats.size()) + 1) {
+        return frame.reject(DecodeStatus::kBadFrame, "stats round order");
+      }
+      std::uint64_t messages = 0;
+      std::uint64_t bytes = 0;
+      std::uint64_t max_bytes = 0;
+      if (!r.read_varint_max(messages, kMaxStat, "stats messages") ||
+          !r.read_varint_max(bytes, kMaxStat, "stats bytes") ||
+          !r.read_varint_max(max_bytes, kMaxStat, "stats max bytes")) {
+        return false;
+      }
+      s.messages_delivered = static_cast<std::int64_t>(messages);
+      s.bytes_delivered = static_cast<std::int64_t>(bytes);
+      s.max_message_bytes = static_cast<std::int64_t>(max_bytes);
+      c.stats.push_back(s);
+      return true;
+    }
+    case TraceFrame::kMessage: {
+      MessageRecord m;
+      std::uint64_t size = 0;
+      if (!read_round(r, m.round, "message round") ||
+          !read_proc(r, n, m.sender, "message sender") ||
+          !r.read_varint(size, "message size")) {
+        return false;
+      }
+      // The payload runs to the end of the frame.
+      if (size != r.remaining()) {
+        return r.fail(DecodeStatus::kLimitExceeded, "message size");
+      }
+      m.payload.assign(r.cursor(), r.cursor() + size);
+      r.skip(static_cast<std::size_t>(size));
+      c.messages.push_back(std::move(m));
+      return true;
+    }
+    case TraceFrame::kDelivery: {
+      DeliveryRecord d;
+      std::uint64_t kind = 0;
+      if (!read_round(r, d.round, "delivery round") ||
+          !read_proc(r, n, d.from, "delivery from") ||
+          !read_proc(r, n, d.to, "delivery to") ||
+          !r.read_varint_max(
+              kind, static_cast<std::uint64_t>(DeliveryKind::kTieDiscard),
+              "delivery kind") ||
+          !read_time(r, d.time, "delivery time")) {
+        return false;
+      }
+      d.kind = static_cast<DeliveryKind>(kind);
+      c.deliveries.push_back(d);
+      return true;
+    }
+    case TraceFrame::kClose: {
+      CloseRecord cl;
+      if (!read_round(r, cl.round, "close round") ||
+          !read_proc(r, n, cl.proc, "close proc") ||
+          !read_time(r, cl.time, "close time")) {
+        return false;
+      }
+      c.closes.push_back(cl);
+      return true;
+    }
+    case TraceFrame::kEnd:
+      return true;
+  }
+  return true;  // read_frames passes no other type
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_trace(const RunCapture& c) {
   SSKEL_REQUIRE(c.header.n > 0);
   SSKEL_REQUIRE(c.header.round_duration >= 0);
-  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
-  put_varint(out, kVersion);
+  FrameWriter out(kFormat);
 
   std::vector<std::uint8_t> payload;
   put_varint(payload, static_cast<std::uint64_t>(c.header.n));
   put_varint(payload, static_cast<std::uint64_t>(c.header.source));
   put_varint(payload, c.header.seed);
   put_varint(payload, static_cast<std::uint64_t>(c.header.round_duration));
-  put_frame(out, TraceFrame::kHeader, payload);
+  out.put(TraceFrame::kHeader, payload);
 
   for (std::size_t i = 0; i < c.graphs.size(); ++i) {
     SSKEL_REQUIRE(c.graphs[i].n() == c.header.n);
     payload.clear();
     put_varint(payload, i + 1);
     encode_graph_body(payload, c.graphs[i]);
-    put_frame(out, TraceFrame::kGraph, payload);
+    out.put(TraceFrame::kGraph, payload);
   }
   for (std::size_t i = 0; i < c.stats.size(); ++i) {
     const RoundStats& s = c.stats[i];
@@ -91,7 +190,7 @@ std::vector<std::uint8_t> encode_trace(const RunCapture& c) {
     put_varint(payload, static_cast<std::uint64_t>(s.messages_delivered));
     put_varint(payload, static_cast<std::uint64_t>(s.bytes_delivered));
     put_varint(payload, static_cast<std::uint64_t>(s.max_message_bytes));
-    put_frame(out, TraceFrame::kRoundStats, payload);
+    out.put(TraceFrame::kRoundStats, payload);
   }
   for (const MessageRecord& m : c.messages) {
     SSKEL_REQUIRE(m.round >= 1);
@@ -101,7 +200,7 @@ std::vector<std::uint8_t> encode_trace(const RunCapture& c) {
     put_varint(payload, static_cast<std::uint64_t>(m.sender));
     put_varint(payload, m.payload.size());
     payload.insert(payload.end(), m.payload.begin(), m.payload.end());
-    put_frame(out, TraceFrame::kMessage, payload);
+    out.put(TraceFrame::kMessage, payload);
   }
   for (const DeliveryRecord& d : c.deliveries) {
     SSKEL_REQUIRE(d.round >= 1);
@@ -114,7 +213,7 @@ std::vector<std::uint8_t> encode_trace(const RunCapture& c) {
     put_varint(payload, static_cast<std::uint64_t>(d.to));
     put_varint(payload, static_cast<std::uint64_t>(d.kind));
     put_varint(payload, static_cast<std::uint64_t>(d.time));
-    put_frame(out, TraceFrame::kDelivery, payload);
+    out.put(TraceFrame::kDelivery, payload);
   }
   for (const CloseRecord& cl : c.closes) {
     SSKEL_REQUIRE(cl.round >= 1);
@@ -124,199 +223,15 @@ std::vector<std::uint8_t> encode_trace(const RunCapture& c) {
     put_varint(payload, static_cast<std::uint64_t>(cl.round));
     put_varint(payload, static_cast<std::uint64_t>(cl.proc));
     put_varint(payload, static_cast<std::uint64_t>(cl.time));
-    put_frame(out, TraceFrame::kClose, payload);
+    out.put(TraceFrame::kClose, payload);
   }
-  payload.clear();
-  put_frame(out, TraceFrame::kEnd, payload);
-  return out;
+  return out.finish();
 }
 
 DecodeResult<RunCapture> decode_trace(const std::vector<std::uint8_t>& bytes) {
-  ByteReader reader(bytes.data(), bytes.size());
-  if (!reader.require_bytes(4, "magic")) return reader.error();
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (reader.cursor()[i] != kMagic[i]) {
-      return DecodeError{DecodeStatus::kBadMagic, reader.pos() + i, "magic"};
-    }
-  }
-  reader.skip(4);
-  std::uint64_t version = 0;
-  if (!reader.read_varint(version, "version")) return reader.error();
-  if (version != kVersion) {
-    return DecodeError{DecodeStatus::kBadVersion, reader.pos(), "version"};
-  }
-
   RunCapture c;
-  bool have_header = false;
-  bool have_end = false;
-  while (!reader.at_end()) {
-    if (have_end) {
-      return DecodeError{DecodeStatus::kTrailingBytes, reader.pos(), "frame"};
-    }
-    const std::size_t frame_start = reader.pos();
-    std::uint8_t type_byte = 0;
-    if (!reader.read_u8(type_byte, "frame type")) return reader.error();
-    std::uint64_t length = 0;
-    if (!reader.read_varint(length, "frame length")) return reader.error();
-    if (length > reader.remaining()) {
-      return DecodeError{DecodeStatus::kLimitExceeded, frame_start,
-                         "frame length"};
-    }
-    // Parse the payload through a sub-reader confined to the declared
-    // length; a frame whose fields consume more or less than `length`
-    // is malformed.
-    const std::size_t payload_start = reader.pos();
-    ByteReader frame(reader.cursor(), static_cast<std::size_t>(length));
-    reader.skip(static_cast<std::size_t>(length));
-    const auto frame_error = [&](const DecodeError& err) {
-      // Re-anchor sub-reader offsets to the whole input.
-      return DecodeError{err.status, payload_start + err.offset, err.field};
-    };
-    const auto type = static_cast<TraceFrame>(type_byte);
-    if (type != TraceFrame::kHeader && !have_header) {
-      return DecodeError{DecodeStatus::kBadFrame, frame_start, "frame order"};
-    }
-    switch (type) {
-      case TraceFrame::kHeader: {
-        if (have_header) {
-          return DecodeError{DecodeStatus::kBadFrame, frame_start,
-                             "duplicate header"};
-        }
-        std::uint64_t n_wide = 0;
-        if (!frame.read_varint_max(n_wide, kMaxDecodeUniverse, "header n")) {
-          return frame_error(frame.error());
-        }
-        if (n_wide == 0) {
-          return frame_error(DecodeError{DecodeStatus::kValueOutOfRange,
-                                         frame.pos(), "header n"});
-        }
-        std::uint64_t source = 0;
-        if (!frame.read_varint_max(
-                source, static_cast<std::uint64_t>(TraceSource::kNetEventQueue),
-                "header source")) {
-          return frame_error(frame.error());
-        }
-        std::uint64_t seed = 0;
-        if (!frame.read_varint(seed, "header seed")) {
-          return frame_error(frame.error());
-        }
-        SimTime duration = 0;
-        if (!read_time(frame, duration, "header round duration")) {
-          return frame_error(frame.error());
-        }
-        c.header = TraceHeader{static_cast<ProcId>(n_wide),
-                               static_cast<TraceSource>(source), seed,
-                               duration};
-        have_header = true;
-        break;
-      }
-      case TraceFrame::kGraph: {
-        Round round = 0;
-        if (!read_round(frame, round, "graph round")) {
-          return frame_error(frame.error());
-        }
-        if (round != static_cast<Round>(c.graphs.size()) + 1) {
-          return DecodeError{DecodeStatus::kBadFrame, frame_start,
-                             "graph round order"};
-        }
-        Digraph g;
-        if (!decode_graph_body(frame, c.header.n, g)) {
-          return frame_error(frame.error());
-        }
-        c.graphs.push_back(std::move(g));
-        break;
-      }
-      case TraceFrame::kRoundStats: {
-        Round round = 0;
-        if (!read_round(frame, round, "stats round")) {
-          return frame_error(frame.error());
-        }
-        if (round != static_cast<Round>(c.stats.size()) + 1) {
-          return DecodeError{DecodeStatus::kBadFrame, frame_start,
-                             "stats round order"};
-        }
-        RoundStats s;
-        s.round = round;
-        std::uint64_t v = 0;
-        if (!frame.read_varint_max(v, kMaxStat, "stats messages")) {
-          return frame_error(frame.error());
-        }
-        s.messages_delivered = static_cast<std::int64_t>(v);
-        if (!frame.read_varint_max(v, kMaxStat, "stats bytes")) {
-          return frame_error(frame.error());
-        }
-        s.bytes_delivered = static_cast<std::int64_t>(v);
-        if (!frame.read_varint_max(v, kMaxStat, "stats max bytes")) {
-          return frame_error(frame.error());
-        }
-        s.max_message_bytes = static_cast<std::int64_t>(v);
-        c.stats.push_back(s);
-        break;
-      }
-      case TraceFrame::kMessage: {
-        MessageRecord m;
-        if (!read_round(frame, m.round, "message round") ||
-            !read_proc(frame, c.header.n, m.sender, "message sender")) {
-          return frame_error(frame.error());
-        }
-        std::uint64_t size = 0;
-        if (!frame.read_varint(size, "message size")) {
-          return frame_error(frame.error());
-        }
-        if (size != frame.remaining()) {
-          return frame_error(DecodeError{DecodeStatus::kLimitExceeded,
-                                         frame.pos(), "message size"});
-        }
-        m.payload.assign(frame.cursor(), frame.cursor() + size);
-        frame.skip(static_cast<std::size_t>(size));
-        c.messages.push_back(std::move(m));
-        break;
-      }
-      case TraceFrame::kDelivery: {
-        DeliveryRecord d;
-        std::uint64_t kind = 0;
-        if (!read_round(frame, d.round, "delivery round") ||
-            !read_proc(frame, c.header.n, d.from, "delivery from") ||
-            !read_proc(frame, c.header.n, d.to, "delivery to") ||
-            !frame.read_varint_max(
-                kind, static_cast<std::uint64_t>(DeliveryKind::kTieDiscard),
-                "delivery kind") ||
-            !read_time(frame, d.time, "delivery time")) {
-          return frame_error(frame.error());
-        }
-        d.kind = static_cast<DeliveryKind>(kind);
-        c.deliveries.push_back(d);
-        break;
-      }
-      case TraceFrame::kClose: {
-        CloseRecord cl;
-        if (!read_round(frame, cl.round, "close round") ||
-            !read_proc(frame, c.header.n, cl.proc, "close proc") ||
-            !read_time(frame, cl.time, "close time")) {
-          return frame_error(frame.error());
-        }
-        c.closes.push_back(cl);
-        break;
-      }
-      case TraceFrame::kEnd: {
-        have_end = true;
-        break;
-      }
-      default:
-        return DecodeError{DecodeStatus::kBadFrame, frame_start, "frame type"};
-    }
-    if (!frame.at_end()) {
-      return frame_error(DecodeError{DecodeStatus::kTrailingBytes, frame.pos(),
-                                     "frame payload"});
-    }
-  }
-  if (!have_header) {
-    return DecodeError{DecodeStatus::kBadFrame, reader.pos(), "missing header"};
-  }
-  if (!have_end) {
-    return DecodeError{DecodeStatus::kTruncated, reader.pos(),
-                       "missing end frame"};
-  }
+  const auto on_frame = [&c](Frame& frame) { return read_frame(frame, c); };
+  if (const auto error = read_frames(bytes, kFormat, on_frame)) return *error;
   return c;
 }
 

@@ -80,14 +80,10 @@ class RunTrace {
 };
 
 // ---------------------------------------------------------------------------
-// Framed binary captures (DESIGN.md §14).
-//
-// Container layout:
-//   4 bytes magic "SSKT" | varint version (= 1) | frames... | kEnd
-// Frame layout:
-//   1 byte type | varint payload length | payload
-// The kEnd frame is mandatory and last — a truncated file is
-// detectable even when it happens to end on a frame boundary.
+// Framed binary captures (DESIGN.md §14): magic "SSKT", version 1, in
+// the framed container of util/wire.hpp. The kEnd frame is mandatory
+// and last — a truncated file is detectable even when it happens to
+// end on a frame boundary.
 // ---------------------------------------------------------------------------
 
 /// Which substrate produced a capture.

@@ -1,6 +1,7 @@
 #include "skeleton/codec.hpp"
 
 #include "util/assert.hpp"
+#include "util/wire.hpp"
 
 namespace sskel {
 
@@ -9,14 +10,7 @@ std::vector<std::uint8_t> encode_graph(const LabeledDigraph& g) {
   const ProcId n = g.n();
   put_varint(out, static_cast<std::uint64_t>(n));
 
-  // Node bitmap.
-  const std::size_t bitmap_bytes = (static_cast<std::size_t>(n) + 7) / 8;
-  std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
-  for (ProcId p : g.nodes()) {
-    bitmap[static_cast<std::size_t>(p) / 8] |=
-        static_cast<std::uint8_t>(1u << (static_cast<unsigned>(p) % 8));
-  }
-  out.insert(out.end(), bitmap.begin(), bitmap.end());
+  put_bitmap(out, g.nodes());
 
   put_varint(out, static_cast<std::uint64_t>(g.edge_count()));
   for (ProcId q : g.nodes()) {
@@ -43,39 +37,17 @@ DecodeResult<LabeledDigraph> try_decode_graph(
   }
   const ProcId n = static_cast<ProcId>(n_wide);
 
-  const std::size_t bitmap_bytes = (static_cast<std::size_t>(n) + 7) / 8;
-  if (!reader.require_bytes(bitmap_bytes, "node bitmap")) {
-    return reader.error();
-  }
-  const std::uint8_t* bitmap = reader.cursor();
-  const unsigned tail_bits = static_cast<unsigned>(n) % 8;
-  if (tail_bits != 0 &&
-      (bitmap[bitmap_bytes - 1] &
-       static_cast<std::uint8_t>(0xffu << tail_bits))) {
-    return DecodeError{DecodeStatus::kValueOutOfRange, reader.pos(),
-                       "node bitmap"};
-  }
+  const std::size_t bitmap_pos = reader.pos();
+  ProcSet nodes;
+  if (!read_bitmap(reader, n, nodes, "node bitmap")) return reader.error();
   // The constructor requires an owner node; an all-zero bitmap never
   // comes out of encode_graph (a process graph always holds its owner).
-  ProcId first_node = -1;
-  for (ProcId p = 0; p < n && first_node == -1; ++p) {
-    if (bitmap[static_cast<std::size_t>(p) / 8] &
-        (1u << (static_cast<unsigned>(p) % 8))) {
-      first_node = p;
-    }
-  }
-  if (first_node == -1) {
-    return DecodeError{DecodeStatus::kValueOutOfRange, reader.pos(),
+  if (nodes.empty()) {
+    return DecodeError{DecodeStatus::kValueOutOfRange, bitmap_pos,
                        "node bitmap"};
   }
-  LabeledDigraph g(n, first_node);
-  for (ProcId p = first_node + 1; p < n; ++p) {
-    if (bitmap[static_cast<std::size_t>(p) / 8] &
-        (1u << (static_cast<unsigned>(p) % 8))) {
-      g.add_node(p);
-    }
-  }
-  reader.skip(bitmap_bytes);
+  LabeledDigraph g(n, nodes.first());
+  for (ProcId p : nodes) g.add_node(p);
 
   std::uint64_t edges = 0;
   if (!reader.read_varint(edges, "edge count")) return reader.error();
@@ -136,7 +108,7 @@ LabeledDigraph decode_graph(const std::vector<std::uint8_t>& in) {
 std::int64_t encoded_graph_size(const LabeledDigraph& g) {
   const ProcId n = g.n();
   std::int64_t size = varint_size(static_cast<std::uint64_t>(n));
-  size += static_cast<std::int64_t>((static_cast<std::size_t>(n) + 7) / 8);
+  size += static_cast<std::int64_t>(bitmap_bytes(n));
   size += varint_size(static_cast<std::uint64_t>(g.edge_count()));
   for (ProcId q : g.nodes()) {
     for (ProcId p : g.out_edges(q)) {

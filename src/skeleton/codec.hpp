@@ -10,7 +10,7 @@
 //
 // Layout of an encoded graph:
 //   varint n
-//   ceil(n/8) bytes of node-presence bitmap
+//   ceil(n/8) bytes of node-presence bitmap (util/wire.hpp)
 //   varint edge_count
 //   per edge (sorted by (q, p)): varint q, varint p, varint label
 #pragma once

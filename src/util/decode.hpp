@@ -42,11 +42,11 @@ enum class DecodeStatus : std::uint8_t {
   kLimitExceeded,
   /// An edge references a node absent from the graph's node bitmap.
   kInvalidEdge,
-  /// Trace container: wrong magic bytes.
+  /// Framed container: wrong magic bytes.
   kBadMagic,
-  /// Trace container: unsupported format version.
+  /// Framed container: unsupported format version.
   kBadVersion,
-  /// Trace container: malformed frame structure (unknown frame type,
+  /// Framed container: malformed frame structure (unknown frame type,
   /// payload length mismatch, frame out of order, missing/duplicate
   /// required frame).
   kBadFrame,

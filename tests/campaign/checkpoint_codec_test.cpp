@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "adversary/partition.hpp"
 #include "mc/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace sskel {
 namespace {
@@ -72,6 +75,48 @@ std::size_t frame_payload_offset(const std::vector<std::uint8_t>& bytes,
     if (f == index) return pos;
     pos += len;
   }
+}
+
+/// An encoding cut into its magic-and-version prefix and its whole
+/// frames (type byte, length varint, payload), so a test can splice
+/// frames into a hostile order.
+struct Frames {
+  std::vector<std::uint8_t> prefix;
+  std::vector<std::vector<std::uint8_t>> frames;
+
+  /// The prefix, then the frames at `order`'s indices.
+  std::vector<std::uint8_t> join(const std::vector<std::size_t>& order) const {
+    std::vector<std::uint8_t> out = prefix;
+    for (const std::size_t f : order) {
+      out.insert(out.end(), frames.at(f).begin(), frames.at(f).end());
+    }
+    return out;
+  }
+};
+
+Frames split_frames(const std::vector<std::uint8_t>& bytes) {
+  Frames split;
+  split.prefix.assign(bytes.begin(), bytes.begin() + 5);
+  std::size_t start = 5;
+  while (start < bytes.size()) {
+    std::size_t pos = start + 1;  // past the type byte
+    const auto length = static_cast<std::size_t>(get_varint(bytes, pos));
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(start);
+    split.frames.emplace_back(first, first + static_cast<std::ptrdiff_t>(
+                                                 pos - start + length));
+    start = pos + length;
+  }
+  return split;
+}
+
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     DecodeStatus status, std::size_t offset,
+                     const std::string& field) {
+  DecodeResult<CampaignCheckpoint> result = decode_checkpoint(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().status, status) << result.error().to_string();
+  EXPECT_EQ(result.error().offset, offset) << result.error().to_string();
+  EXPECT_EQ(result.error().field, field);
 }
 
 TEST(CheckpointCodecTest, EmptyRoundTripIsCanonical) {
@@ -151,6 +196,7 @@ TEST(CheckpointCodecTest, BadMagicRejected) {
     std::vector<std::uint8_t> mutant = bytes;
     mutant[i] = static_cast<std::uint8_t>(mutant[i] + 1);
     EXPECT_FALSE(decode_checkpoint(mutant).ok()) << "magic byte " << i;
+    expect_rejected(mutant, DecodeStatus::kBadMagic, i, "magic");
   }
 }
 
@@ -162,6 +208,7 @@ TEST(CheckpointCodecTest, WrongVersionRejected) {
     mutant[4] = version;
     EXPECT_FALSE(decode_checkpoint(mutant).ok())
         << "version " << int(version);
+    expect_rejected(mutant, DecodeStatus::kBadVersion, 5, "version");
   }
 }
 
@@ -170,6 +217,8 @@ TEST(CheckpointCodecTest, TrailingBytesRejected) {
       encode_checkpoint(sample_checkpoint(1, 3));
   bytes.push_back(0x00);
   EXPECT_FALSE(decode_checkpoint(bytes).ok());
+  expect_rejected(bytes, DecodeStatus::kTrailingBytes, bytes.size() - 1,
+                  "frame");
 }
 
 TEST(CheckpointCodecTest, RunsTrialsFoldedMismatchRejected) {
@@ -185,6 +234,92 @@ TEST(CheckpointCodecTest, RunsTrialsFoldedMismatchRejected) {
   std::vector<std::uint8_t> mutant = bytes;
   mutant[job_payload] = 4;
   EXPECT_FALSE(decode_checkpoint(mutant).ok());
+  // A frame-level rule: reported at the job frame's type byte.
+  const std::size_t job_start = 5 + split_frames(bytes).frames[0].size();
+  expect_rejected(mutant, DecodeStatus::kValueOutOfRange, job_start,
+                  "trials folded");
+}
+
+TEST(CheckpointCodecTest, FieldErrorOffsetPointsAtRejectedByte) {
+  // A field error inside a frame names the rejected byte's offset in
+  // the whole input: payload start plus the offset in the payload.
+  // Locate bytes_measured as the one byte two encodings differing only
+  // in it disagree on.
+  CampaignCheckpoint checkpoint = sample_checkpoint(1, 3);
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
+  bool& measured = checkpoint.jobs[0].summary.bytes_measured;
+  measured = !measured;
+  const std::vector<std::uint8_t> flipped = encode_checkpoint(checkpoint);
+  ASSERT_EQ(bytes.size(), flipped.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), flipped.begin()).first -
+      bytes.begin());
+  ASSERT_EQ(at, 242u);
+  std::vector<std::uint8_t> mutant = bytes;
+  mutant[at] = 2;  // a bool is 0 or 1
+  expect_rejected(mutant, DecodeStatus::kValueOutOfRange, at,
+                  "bytes measured");
+
+  // Likewise a histogram bucket's count, which must be positive.
+  measured = !measured;
+  IntHistogram& hist = checkpoint.jobs[0].summary.distinct_histogram;
+  auto buckets = hist.buckets();
+  ASSERT_FALSE(buckets.empty());
+  ++buckets.front().second;
+  hist = IntHistogram::from_buckets(buckets);
+  const std::vector<std::uint8_t> recounted = encode_checkpoint(checkpoint);
+  ASSERT_EQ(bytes.size(), recounted.size());
+  const auto count_at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), recounted.begin()).first -
+      bytes.begin());
+  mutant = bytes;
+  mutant[count_at] = 0;
+  expect_rejected(mutant, DecodeStatus::kValueOutOfRange, count_at,
+                  "distinct histogram");
+}
+
+TEST(CheckpointCodecTest, StructuralErrorsReportStatusAndOffset) {
+  // The container rules, each with its status, offset and field.
+  const Frames split = split_frames(encode_checkpoint(sample_checkpoint(1, 3)));
+  ASSERT_EQ(split.frames.size(), 3u);  // header, one job, end
+  const std::size_t header = 5 + split.frames[0].size();
+  const std::size_t job_end = header + split.frames[1].size();
+
+  expect_rejected(split.join({}), DecodeStatus::kBadFrame, 5,
+                  "missing header");
+  expect_rejected(split.join({1, 0, 2}), DecodeStatus::kBadFrame, 5,
+                  "frame order");
+  expect_rejected(split.join({0, 0, 1, 2}), DecodeStatus::kBadFrame, header,
+                  "duplicate header");
+  expect_rejected(split.join({0, 1, 1, 2}), DecodeStatus::kBadFrame, job_end,
+                  "excess job frame");
+  expect_rejected(split.join({0, 2}), DecodeStatus::kBadFrame, header,
+                  "missing job frame");
+  // Cut on a frame boundary: only the missing end frame tells.
+  expect_rejected(split.join({0, 1}), DecodeStatus::kTruncated, job_end,
+                  "missing end frame");
+
+  // An end frame carrying a payload byte.
+  std::vector<std::uint8_t> bytes = split.join({0, 1});
+  bytes.insert(bytes.end(), {3, 1, 0});
+  expect_rejected(bytes, DecodeStatus::kTrailingBytes, job_end + 2,
+                  "frame payload");
+
+  // A frame type past kEnd.
+  bytes = split.join({0});
+  bytes.insert(bytes.end(), {4, 0});
+  expect_rejected(bytes, DecodeStatus::kBadFrame, header, "frame type");
+
+  // A header whose payload holds one byte more than its fields.
+  const std::vector<std::uint8_t>& frame = split.frames[0];
+  ASSERT_LT(frame[1], 0x7f);  // one-byte length varint
+  std::vector<std::uint8_t> padded = frame;
+  padded[1] = static_cast<std::uint8_t>(padded[1] + 1);
+  padded.push_back(0);
+  bytes = split.prefix;
+  bytes.insert(bytes.end(), padded.begin(), padded.end());
+  expect_rejected(bytes, DecodeStatus::kTrailingBytes, header,
+                  "frame payload");
 }
 
 TEST(CheckpointCodecTest, Fnv1a64KnownVectors) {

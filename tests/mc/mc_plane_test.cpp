@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "campaign/checkpoint.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -25,51 +27,19 @@
 namespace sskel {
 namespace {
 
-void expect_accumulators_equal(const Accumulator& a, const Accumulator& b,
-                               const char* field) {
-  EXPECT_EQ(a.count(), b.count()) << field;
-  EXPECT_EQ(a.sum(), b.sum()) << field;
-  EXPECT_EQ(a.mean(), b.mean()) << field;
-  EXPECT_EQ(a.min(), b.min()) << field;
-  EXPECT_EQ(a.max(), b.max()) << field;
-}
-
-/// Bit-equality over every trial-derived field. Service-level fields
-/// (intern stats, shard counts, ProcSet peak/live/arena accounting,
-/// scheduler/tiles) are deliberately excluded:
-/// they describe the machinery, not the trials.
+/// Bit-equality over every trial-derived field, through the SSKC
+/// projection (encode_summary_trial_fields) the campaign's resume
+/// gate uses. Service-level fields (intern stats, shard counts,
+/// ProcSet peak/live/arena accounting, scheduler/tiles) are outside
+/// it: they describe the machinery, not the trials.
 void expect_summaries_equal(const McSummary& a, const McSummary& b) {
-  EXPECT_EQ(a.scenario, b.scenario);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.undecided_runs, b.undecided_runs);
-  EXPECT_EQ(a.agreement_violations, b.agreement_violations);
-  EXPECT_EQ(a.validity_violations, b.validity_violations);
-  EXPECT_EQ(a.bound_violations, b.bound_violations);
-  EXPECT_EQ(a.lemma_violation_runs, b.lemma_violation_runs);
-  expect_accumulators_equal(a.distinct_values, b.distinct_values,
-                            "distinct_values");
-  expect_accumulators_equal(a.root_components, b.root_components,
-                            "root_components");
-  expect_accumulators_equal(a.last_decision_round, b.last_decision_round,
-                            "last_decision_round");
-  expect_accumulators_equal(a.stabilization_round, b.stabilization_round,
-                            "stabilization_round");
-  expect_accumulators_equal(a.total_messages, b.total_messages,
-                            "total_messages");
-  EXPECT_EQ(a.bytes_measured, b.bytes_measured);
-  expect_accumulators_equal(a.total_bytes, b.total_bytes, "total_bytes");
-  expect_accumulators_equal(a.max_message_bytes, b.max_message_bytes,
-                            "max_message_bytes");
-  EXPECT_EQ(a.distinct_histogram.to_string(), b.distinct_histogram.to_string());
-  EXPECT_EQ(a.root_histogram.to_string(), b.root_histogram.to_string());
-  EXPECT_EQ(a.net_backed, b.net_backed);
-  expect_accumulators_equal(a.late_messages, b.late_messages,
-                            "late_messages");
-  expect_accumulators_equal(a.lost_messages, b.lost_messages,
-                            "lost_messages");
-  expect_accumulators_equal(a.wall_clock_ms, b.wall_clock_ms,
-                            "wall_clock_ms");
-  EXPECT_EQ(a.credit_stalls, b.credit_stalls);
+  const std::vector<std::uint8_t> x = encode_summary_trial_fields(a);
+  const std::vector<std::uint8_t> y = encode_summary_trial_fields(b);
+  if (x == y) return;
+  const auto diff = std::mismatch(x.begin(), x.end(), y.begin(), y.end());
+  ADD_FAILURE() << "trial-field projections differ (" << x.size() << " vs "
+                << y.size() << " bytes), first at byte "
+                << (diff.first - x.begin());
 }
 
 PartitionScenario make_partition_scenario(ProcId n) {
